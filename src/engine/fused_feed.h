@@ -12,29 +12,30 @@
 #include "common/hash.h"
 #include "engine/bag.h"
 
-/// Static (expression-template) representation of a pending fused chain.
+/// Static (expression-template) representation of a pending fused chain —
+/// the one execution path of every fused narrow op.
 ///
-/// The type-erased representation in bag.h (`Bag<T>::Feed`) pays one
-/// `std::function` indirect call per element per composed op. The feed
-/// structs here instead nest by *type*: composing Map/Filter/FlatMap/
+/// The chain nodes here nest by *type*: composing Map/Filter/FlatMap/
 /// MapValues/FlatMapValues/Sample/ZipWithUniqueId builds a concrete
 /// `MapFeed<F, FilterFeed<P, SourceFeed<T>>>`-style value whose `Drive`
 /// is one monomorphic loop the compiler can fully inline — no virtual or
-/// indirect calls in the hot path.
+/// indirect calls in the hot path. Each node defines its op's per-element
+/// semantics (construction order, position counters, hash draws) once, in
+/// its nested `Step` sink. The sinks are named class templates rather than
+/// lambdas inside Drive: with lambdas the debug info of a chain grew so
+/// fast with its depth (an 8-op chain's object file was 53 MB against 6 MB
+/// with `Step`) that a -g build of a kMaxChainDepth-long chain ran the
+/// compiler out of memory.
 ///
 /// Type erasure happens exactly once, at the chain boundary: every chain is
-/// also wrapped into the ordinary erased `Feed` (for consumers that only see
-/// `Bag<T>`) and into a `Run` closure that `Force()` calls per partition, so
+/// wrapped into the erased `Feed` (for consumers that only see `Bag<T>`)
+/// and into the `Run` closure that `Force()` calls per partition, so
 /// `Bag<T>`'s public surface and `PendingState` stay non-templated on the
 /// chain. The typed chain itself travels on the side in a `FusedBag<Chain>`
 /// subclass handle; slicing a `FusedBag` back to `Bag<T>` (crossing an
-/// opaque API boundary) degrades gracefully to one erased hop, never to a
-/// wrong answer.
-///
-/// Every feed replicates its erased twin's per-element semantics exactly
-/// (construction order, position counters, hash draws), which is what keeps
-/// the two representations bit-identical — see DESIGN.md, "The fusion
-/// contract: feed representations".
+/// opaque API boundary, as src/core's InnerBag does) degrades gracefully to
+/// one erased hop per element, never to a forced materialization or a
+/// wrong answer. See DESIGN.md, "The fusion contract".
 namespace matryoshka::engine::internal {
 
 /// Chain root: streams the upstream bag's elements. Holds EITHER the
@@ -71,14 +72,24 @@ struct MapFeed {
   F f;
 
   template <typename Sink>
+  struct Step {
+    const F& f;
+    Sink& sink;
+    template <typename X>
+    void operator()(X&& x) const {
+      sink(f(x));
+    }
+  };
+
+  template <typename Sink>
   void Drive(std::size_t p, Sink&& sink) const {
-    up.Drive(p, [this, &sink](auto&& x) { sink(f(x)); });
+    up.Drive(p, Step<std::remove_reference_t<Sink>>{f, sink});
   }
 };
 
-/// Filter: keeps elements passing pred. Like the erased sink, materializes
-/// the kept element (copying from a materialized upstream, moving a chain
-/// temporary) so downstream stages always see an owned value.
+/// Filter: keeps elements passing pred. Materializes the kept element
+/// (copying from a materialized upstream, moving a chain temporary) so
+/// downstream stages always see an owned value.
 template <typename P, typename Up>
 struct FilterFeed {
   using Out = typename Up::Out;
@@ -87,10 +98,18 @@ struct FilterFeed {
   P pred;
 
   template <typename Sink>
+  struct Step {
+    const P& pred;
+    Sink& sink;
+    template <typename X>
+    void operator()(X&& x) const {
+      if (pred(x)) sink(Out(std::forward<X>(x)));
+    }
+  };
+
+  template <typename Sink>
   void Drive(std::size_t p, Sink&& sink) const {
-    up.Drive(p, [this, &sink](auto&& x) {
-      if (pred(x)) sink(Out(std::forward<decltype(x)>(x)));
-    });
+    up.Drive(p, Step<std::remove_reference_t<Sink>>{pred, sink});
   }
 };
 
@@ -104,10 +123,18 @@ struct FlatMapFeed {
   F f;
 
   template <typename Sink>
-  void Drive(std::size_t p, Sink&& sink) const {
-    up.Drive(p, [this, &sink](auto&& x) {
+  struct Step {
+    const F& f;
+    Sink& sink;
+    template <typename X>
+    void operator()(X&& x) const {
       for (auto&& y : f(x)) sink(std::move(y));
-    });
+    }
+  };
+
+  template <typename Sink>
+  void Drive(std::size_t p, Sink&& sink) const {
+    up.Drive(p, Step<std::remove_reference_t<Sink>>{f, sink});
   }
 };
 
@@ -126,11 +153,18 @@ struct MapValuesFeed {
   F f;
 
   template <typename Sink>
+  struct Step {
+    const F& f;
+    Sink& sink;
+    template <typename X>
+    void operator()(X&& kv) const {
+      sink(Out(std::forward<X>(kv).first, f(std::forward<X>(kv).second)));
+    }
+  };
+
+  template <typename Sink>
   void Drive(std::size_t p, Sink&& sink) const {
-    up.Drive(p, [this, &sink](auto&& kv) {
-      sink(Out(std::forward<decltype(kv)>(kv).first,
-               f(std::forward<decltype(kv)>(kv).second)));
-    });
+    up.Drive(p, Step<std::remove_reference_t<Sink>>{f, sink});
   }
 };
 
@@ -147,16 +181,24 @@ struct FlatMapValuesFeed {
   F f;
 
   template <typename Sink>
-  void Drive(std::size_t p, Sink&& sink) const {
-    up.Drive(p, [this, &sink](auto&& kv) {
+  struct Step {
+    const F& f;
+    Sink& sink;
+    template <typename X>
+    void operator()(X&& kv) const {
       for (auto&& w : f(kv.second)) sink(Out(kv.first, std::move(w)));
-    });
+    }
+  };
+
+  template <typename Sink>
+  void Drive(std::size_t p, Sink&& sink) const {
+    up.Drive(p, Step<std::remove_reference_t<Sink>>{f, sink});
   }
 };
 
-/// ZipWithUniqueId: ids from the stream offset, exactly as the erased sink
-/// assigns them (legal because chains are size-preserving when this
-/// composes — ComposeReady forces otherwise).
+/// ZipWithUniqueId: id = offset * stride + partition, Spark's formula. The
+/// stream offset equals the materialized offset because chains are
+/// size-preserving when this composes (ComposeReady forces otherwise).
 template <typename Up>
 struct ZipUniqueIdFeed {
   using Out = std::pair<uint64_t, typename Up::Out>;
@@ -165,16 +207,27 @@ struct ZipUniqueIdFeed {
   uint64_t stride;
 
   template <typename Sink>
+  struct Step {
+    uint64_t stride;
+    std::size_t p;
+    uint64_t& j;
+    Sink& sink;
+    template <typename X>
+    void operator()(X&& x) const {
+      sink(Out(j++ * stride + p, std::forward<X>(x)));
+    }
+  };
+
+  template <typename Sink>
   void Drive(std::size_t p, Sink&& sink) const {
     uint64_t j = 0;
-    up.Drive(p, [this, &sink, &j, p](auto&& x) {
-      sink(Out(j++ * stride + p, std::forward<decltype(x)>(x)));
-    });
+    up.Drive(p, Step<std::remove_reference_t<Sink>>{stride, p, j, sink});
   }
 };
 
-/// Bernoulli sample: the same (seed, position, element-hash) draw as the
-/// erased sink, with the position counter kept per Drive call.
+/// Bernoulli sample: a deterministic (seed, position, element-hash) draw,
+/// with the position counter kept per Drive call (stream positions equal
+/// materialized positions for the same reason as ZipUniqueIdFeed).
 template <typename Up>
 struct SampleFeed {
   using Out = typename Up::Out;
@@ -184,14 +237,25 @@ struct SampleFeed {
   uint64_t threshold;
 
   template <typename Sink>
-  void Drive(std::size_t p, Sink&& sink) const {
-    uint64_t pos = p * 0x9e3779b97f4a7c15ULL;
-    up.Drive(p, [this, &sink, &pos](auto&& x) {
+  struct Step {
+    uint64_t seed;
+    uint64_t threshold;
+    uint64_t& pos;
+    Sink& sink;
+    template <typename X>
+    void operator()(X&& x) const {
       pos += 0x2545f4914f6cdd1dULL;
       if (Mix64(seed ^ pos ^ Hasher{}(x)) <= threshold) {
-        sink(Out(std::forward<decltype(x)>(x)));
+        sink(Out(std::forward<X>(x)));
       }
-    });
+    }
+  };
+
+  template <typename Sink>
+  void Drive(std::size_t p, Sink&& sink) const {
+    uint64_t pos = p * 0x9e3779b97f4a7c15ULL;
+    up.Drive(p, Step<std::remove_reference_t<Sink>>{seed, threshold, pos,
+                                                    sink});
   }
 };
 
@@ -199,7 +263,8 @@ struct SampleFeed {
 /// bag is (or can freely become) materialized, at its erased pending feed
 /// otherwise. When a sibling handle already forced the shared chain state,
 /// flip this handle to the memoized partitions instead of copying the
-/// pending `std::function` chain (see also ComposeFeed in ops.h).
+/// pending `std::function` chain (re-running it would pay again for the
+/// memoized result).
 template <typename T>
 SourceFeed<T> MakeSourceFeed(const Bag<T>& bag) {
   SourceFeed<T> src;
@@ -236,10 +301,11 @@ void EraseChain(const std::shared_ptr<const Chain>& chain,
 
 /// A Bag handle that additionally carries its pending chain's concrete
 /// type, letting the next narrow op extend the chain without erasure. The
-/// chain pointer is null when the bag was composed dynamically (knob off,
-/// eager path, or re-rooted after a forced boundary); everything still
-/// works through the erased base state then. Slicing to `Bag<T>` is always
-/// safe: the base carries the erased feed and the Force run path.
+/// chain pointer is null when the op ran on a failed cluster, re-rooted
+/// after a forced boundary, or the handle was assigned a plain Bag;
+/// everything still works through the erased base state then. Slicing to
+/// `Bag<T>` is always safe: the base carries the erased feed and the Force
+/// run path.
 template <typename Chain>
 class FusedBag : public Bag<typename Chain::Out> {
  public:
@@ -266,12 +332,6 @@ class FusedBag : public Bag<typename Chain::Out> {
  private:
   std::shared_ptr<const Chain> chain_;
 };
-
-/// True when narrow ops should build static chains (the fusion knob itself
-/// is checked by ComposeReady).
-inline bool StaticFeedsOn(const Cluster* c) {
-  return c->config().fusion.static_feeds;
-}
 
 }  // namespace matryoshka::engine::internal
 

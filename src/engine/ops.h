@@ -1,8 +1,10 @@
 #ifndef MATRYOSHKA_ENGINE_OPS_H_
 #define MATRYOSHKA_ENGINE_OPS_H_
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -29,11 +31,16 @@
 ///    overhead, mirroring Spark where every action triggers a job.
 namespace matryoshka::engine {
 
+/// Narrow ops compose at most this many ops into one pending chain before a
+/// forced materialization boundary (ComposeReady), bounding the nesting
+/// depth of a chain's type and Drive loop.
+inline constexpr int kMaxChainDepth = 16;
+
 namespace internal {
 
 /// Per-task costs of scanning each partition once at the given UDF weight.
 /// Uses the bag's tracked cardinalities, so charging a pending (fused) bag
-/// does not materialize it and yields the same costs the eager path would.
+/// does not materialize it and yields the costs of its materialized output.
 template <typename T>
 std::vector<double> ScanCosts(const Bag<T>& bag, double weight) {
   const std::vector<std::size_t> sizes = bag.PartitionSizes();
@@ -57,84 +64,17 @@ void ChargeScanStage(const Bag<T>& bag, double weight,
                  StageContext{label});
 }
 
-/// True when the narrow op being applied to `bag` should compose onto a
-/// pending chain instead of executing eagerly. As a side effect, enforces
-/// the forced boundaries of the fusion contract: a pending input whose
-/// tracked cardinality is inexact (a cardinality-changing op ended the
-/// chain) or whose chain is at the depth cap is materialized here, and the
-/// new op starts a fresh chain on the result.
+/// Materializes `bag` where the next narrow op must not compose onto its
+/// pending chain — the forced boundaries of the fusion contract: a pending
+/// input whose tracked cardinality is inexact (a cardinality-changing op
+/// ended the chain) or whose chain is at kMaxChainDepth. The new op then
+/// starts a fresh chain on the result.
 template <typename T>
-bool ComposeReady(const Bag<T>& bag) {
-  const FusionConfig& fusion = bag.cluster()->config().fusion;
-  if (!fusion.enabled) return false;
+void ComposeReady(const Bag<T>& bag) {
   if (bag.pending() && (!bag.counts_exact() ||
-                        bag.pending_chain_ops() >= fusion.max_chain_depth)) {
+                        bag.pending_chain_ops() >= kMaxChainDepth)) {
     bag.Force();
   }
-  return true;
-}
-
-/// Chain length of the op being composed onto `bag`.
-template <typename T>
-int NextChainOps(const Bag<T>& bag) {
-  return bag.pending_chain_ops() + 1;
-}
-
-/// Stacks one per-element transform onto `bag`'s stream, producing the
-/// pending feed of the composing op's output. `make_sink(p, emit)` returns
-/// the per-partition element consumer (a stateful lambda where the op needs
-/// per-partition state, e.g. zipWithUniqueId's counter); it is invoked with
-/// `const T&` elements when the upstream is already materialized and with
-/// `T&&` chain temporaries when the upstream is itself pending, so
-/// pass-through ops can move instead of copy.
-template <typename U, typename T, typename MakeSink>
-typename Bag<U>::Feed ComposeFeed(const Bag<T>& bag, MakeSink make_sink) {
-  // When a sibling handle already forced the shared chain state, compose on
-  // the memoized partitions instead of deep-copying the pending
-  // `std::function` chain into yet another consumer (the copy bought
-  // nothing: every consumer would stream the same shared materialization).
-  if (bag.pending_materialized()) bag.Force();
-  if (bag.pending()) {
-    return [prev = bag.pending_feed(), make_sink](
-               std::size_t p, const typename Bag<U>::Sink& emit) {
-      auto sink = make_sink(p, emit);
-      prev(p, [&sink](T&& x) { sink(std::move(x)); });
-    };
-  }
-  return [parts = bag.shared_partitions(), make_sink](
-             std::size_t p, const typename Bag<U>::Sink& emit) {
-    auto sink = make_sink(p, emit);
-    for (const T& x : (*parts)[p]) sink(x);
-  };
-}
-
-/// Builds the deferred (feed, run, chain) triple of a narrow op whose
-/// static representation is `ChainT`. With static feeds on, `make_chain()`
-/// produces the concrete chain value and both erased closures wrap the one
-/// shared instance; otherwise only the legacy type-erased feed from
-/// `make_feed()` is built. Factored out so each operator's two overloads
-/// stay declarative.
-template <typename ChainT, typename MakeChain, typename MakeFeed>
-struct DeferredRepr {
-  typename Bag<typename ChainT::Out>::Feed feed;
-  typename Bag<typename ChainT::Out>::Run run;
-  std::shared_ptr<const ChainT> chain;
-
-  DeferredRepr(const Cluster* c, MakeChain make_chain, MakeFeed make_feed) {
-    if (StaticFeedsOn(c)) {
-      chain = std::make_shared<const ChainT>(make_chain());
-      EraseChain(chain, &feed, &run);
-    } else {
-      feed = make_feed();
-    }
-  }
-};
-
-template <typename ChainT, typename MakeChain, typename MakeFeed>
-DeferredRepr<ChainT, MakeChain, MakeFeed> MakeDeferredRepr(
-    const Cluster* c, MakeChain make_chain, MakeFeed make_feed) {
-  return DeferredRepr<ChainT, MakeChain, MakeFeed>(c, std::move(make_chain),
-                                                   std::move(make_feed));
 }
 
 /// True when a narrow op on this FusedBag handle should extend the concrete
@@ -146,236 +86,142 @@ DeferredRepr<ChainT, MakeChain, MakeFeed> MakeDeferredRepr(
 /// materialization instead.
 template <typename Chain>
 bool ExtendReady(const FusedBag<Chain>& bag) {
-  return StaticFeedsOn(bag.cluster()) && bag.chain() != nullptr &&
-         bag.pending() && !bag.pending_materialized();
+  return bag.chain() != nullptr && bag.pending() &&
+         !bag.pending_materialized();
 }
+
+/// What a fused narrow op tells the compose sequence about itself.
+struct NarrowSpec {
+  /// Label and UDF weight of the op's scan stage.
+  const char* label;
+  double weight;
+  /// Per-partition output count equals the input's (size-preserving op).
+  bool counts_exact;
+  /// Per-partition output count is at most the input's (filtering op);
+  /// false for expanding ops, which keep only the partition count.
+  bool counts_bounded;
+  /// Keys unchanged and elements never moved: key partitioning survives.
+  bool keeps_key_partitions;
+};
+
+/// The compose sequence every fused narrow op runs, once: charge the op's
+/// scan stage from tracked metadata (no UDF runs), build its chain node
+/// with `make_node()` (fused_feed.h; stacked onto the upstream), erase it
+/// into the pending Feed/Run pair, and pass the deferred output through the
+/// auto-checkpoint probe. The cost model is fully charged here, so the
+/// later Force() charges nothing.
+template <typename T, typename MakeNode>
+auto Compose(const Bag<T>& bag, MakeNode make_node, const NarrowSpec& spec) {
+  using Chain = decltype(make_node());
+  using U = typename Chain::Out;
+  ChargeScanStage(bag, spec.weight, spec.label);
+  const int chain_ops = bag.pending_chain_ops() + 1;
+  auto chain = std::make_shared<const Chain>(make_node());
+  typename Bag<U>::Feed feed;
+  typename Bag<U>::Run run;
+  EraseChain(chain, &feed, &run);
+  return FusedBag<Chain>(
+      MaybeAutoCheckpoint(Bag<U>::Deferred(
+          bag.cluster(), std::move(feed), std::move(run),
+          bag.PartitionSizes(), spec.counts_exact, spec.counts_bounded,
+          chain_ops, bag.scale(),
+          spec.keeps_key_partitions ? bag.key_partitions() : 0,
+          bag.lineage_depth() + 1)),
+      std::move(chain));
+}
+
+/// Applies the narrow op whose chain node `wrap(upstream)` builds to a
+/// plain Bag: roots a fresh chain at its materialized partitions (or, for
+/// a sliced pending bag, at its erased feed — one erased hop).
+template <typename T, typename Wrap>
+auto ComposeOnto(const Bag<T>& bag, Wrap wrap, const NarrowSpec& spec) {
+  using Chain = decltype(wrap(std::declval<SourceFeed<T>>()));
+  Cluster* c = bag.cluster();
+  if (!c->ok()) {
+    return FusedBag<Chain>(Bag<typename Chain::Out>(c), nullptr);
+  }
+  ComposeReady(bag);
+  return Compose(bag, [&] { return wrap(MakeSourceFeed(bag)); }, spec);
+}
+
+/// The same op on a FusedBag: extends the concrete chain type in place —
+/// the composed pipeline stays ONE monomorphic loop — and re-roots through
+/// the Bag overload at any runtime boundary (chain forced, depth cap,
+/// shared materialization), where the extended chain type is dropped.
+template <typename Up, typename Wrap>
+auto ComposeOnto(const FusedBag<Up>& bag, Wrap wrap, const NarrowSpec& spec) {
+  using Chain = decltype(wrap(std::declval<const Up&>()));
+  Cluster* c = bag.cluster();
+  if (!c->ok()) {
+    return FusedBag<Chain>(Bag<typename Chain::Out>(c), nullptr);
+  }
+  ComposeReady(bag);
+  if (ExtendReady(bag)) {
+    return Compose(bag, [&] { return wrap(*bag.chain()); }, spec);
+  }
+  return FusedBag<Chain>(
+      ComposeOnto(static_cast<const Bag<typename Up::Out>&>(bag), wrap, spec),
+      nullptr);
+}
+
+/// A Bag or a FusedBag handle (the fused narrow ops accept both).
+template <typename B>
+concept BagHandle = std::derived_from<B, Bag<typename B::Element>>;
 
 }  // namespace internal
 
+// --- Fused narrow ops ---
+//
+// Map, Filter, FlatMap, MapValues, FlatMapValues, ZipWithUniqueId (and
+// Sample in extra_ops.h) never execute on their own: each composes its
+// chain node (fused_feed.h) onto the input's pending chain, and the next
+// forcing point (any wide operator, any action, Checkpoint, Bag::Force)
+// runs the whole chain as ONE fused pass per partition. Each returns an
+// internal::FusedBag — a Bag subclass additionally carrying the chain's
+// concrete type. Holding the result in `auto` lets the next narrow op
+// extend that static chain without type erasure; assigning to a plain
+// Bag<U> slices the handle and still works through the erased pending
+// state (at one erased hop per such boundary).
+
 /// Applies `f` to every element. f: T -> U.
-///
-/// Like every narrow operator below, Map returns an internal::FusedBag — a
-/// Bag subclass additionally carrying the pending chain's concrete feed
-/// type (fused_feed.h). Holding the result in `auto` lets the next narrow
-/// op extend that static chain without type erasure; assigning to a plain
-/// Bag<U> slices the handle and still works through the erased pending
-/// state (at one erased hop per such boundary).
-template <typename T, typename F>
-auto Map(const Bag<T>& bag, F f, double weight = 1.0) {
-  using U = std::decay_t<decltype(f(std::declval<const T&>()))>;
-  using ChainT = internal::MapFeed<F, internal::SourceFeed<T>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<U>(c), nullptr);
-  if (internal::ComposeReady(bag)) {
-    // Deferred: charge the cost model now, execute later in one fused pass.
-    internal::ChargeScanStage(bag, weight, "map");
-    const int chain = internal::NextChainOps(bag);
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] { return ChainT{internal::MakeSourceFeed(bag), f}; },
-        [&] {
-          return internal::ComposeFeed<U>(
-              bag, [f](std::size_t, const typename Bag<U>::Sink& emit) {
-                return [f, &emit](auto&& x) { emit(f(x)); };
-              });
-        });
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<U>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/true, /*counts_bounded=*/true, chain,
-            bag.scale(), 0, bag.lineage_depth() + 1, std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, weight, "map");
-  const auto& parts = bag.partitions();
-  typename Bag<U>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    const auto& part = parts[i];
-    out[i].reserve(part.size());
-    for (const auto& x : part) out[i].push_back(f(x));
-  });
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<U>(c, std::move(out), bag.scale(), 0, bag.lineage_depth() + 1)),
-      nullptr);
+template <internal::BagHandle B, typename F>
+auto Map(const B& bag, F f, double weight = 1.0) {
+  return internal::ComposeOnto(
+      bag,
+      [f](auto up) {
+        return internal::MapFeed<F, decltype(up)>{std::move(up), f};
+      },
+      {"map", weight, /*counts_exact=*/true, /*counts_bounded=*/true,
+       /*keeps_key_partitions=*/false});
 }
 
-/// Map over a FusedBag: extends the concrete chain type in place — the
-/// composed pipeline stays ONE monomorphic loop — falling back to the
-/// Bag<T> overload (re-rooted at the erased or materialized state) at any
-/// runtime boundary: knob off, chain forced, depth cap, shared
-/// materialization.
-template <typename Chain, typename F>
-auto Map(const internal::FusedBag<Chain>& bag, F f, double weight = 1.0) {
-  using T = typename Chain::Out;
-  using U = std::decay_t<decltype(f(std::declval<const T&>()))>;
-  using ExtT = internal::MapFeed<F, Chain>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<U>(c), nullptr);
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "map");
-    const int chain = internal::NextChainOps(bag);
-    auto st = std::make_shared<const ExtT>(ExtT{*bag.chain(), f});
-    typename Bag<U>::Feed feed;
-    typename Bag<U>::Run run;
-    internal::EraseChain(st, &feed, &run);
-    return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<U>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/true,
-            /*counts_bounded=*/true, chain, bag.scale(), 0,
-            bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
-  }
-  return internal::FusedBag<ExtT>(
-      Map(static_cast<const Bag<T>&>(bag), f, weight), nullptr);
-}
-
-/// Keeps the elements for which `pred` returns true.
-template <typename T, typename P>
-auto Filter(const Bag<T>& bag, P pred, double weight = 1.0) {
-  using ChainT = internal::FilterFeed<P, internal::SourceFeed<T>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<T>(c), nullptr);
-  if (internal::ComposeReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "filter");
-    const int chain = internal::NextChainOps(bag);
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] { return ChainT{internal::MakeSourceFeed(bag), pred}; },
-        [&] {
-          return internal::ComposeFeed<T>(
-              bag, [pred](std::size_t, const typename Bag<T>::Sink& emit) {
-                return [pred, &emit](auto&& x) {
-                  if (pred(x)) emit(T(std::forward<decltype(x)>(x)));
-                };
-              });
-        });
-    // Output cardinality is now data-dependent: the tracked counts demote
-    // to an upper bound (counts_exact=false), making this chain a forced
-    // boundary for the next narrow op. Key partitioning survives filtering.
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<T>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/false, /*counts_bounded=*/true, chain,
-            bag.scale(), bag.key_partitions(), bag.lineage_depth() + 1,
-            std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, weight, "filter");
-  const auto& parts = bag.partitions();
-  typename Bag<T>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    const auto& part = parts[i];
-    // Selectivity-free capacity bound: the input size. Removes push_back
-    // growth reallocations so the non-fused baseline is fair to A/B against.
-    out[i].reserve(part.size());
-    for (const auto& x : part) {
-      if (pred(x)) out[i].push_back(x);
-    }
-  });
-  // Filtering never moves elements: key partitioning survives.
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<T>(c, std::move(out), bag.scale(), bag.key_partitions(),
-                 bag.lineage_depth() + 1)),
-      nullptr);
-}
-
-/// Filter over a FusedBag: extends the concrete chain (see Map).
-template <typename Chain, typename P>
-auto Filter(const internal::FusedBag<Chain>& bag, P pred,
-            double weight = 1.0) {
-  using T = typename Chain::Out;
-  using ExtT = internal::FilterFeed<P, Chain>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<T>(c), nullptr);
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "filter");
-    const int chain = internal::NextChainOps(bag);
-    auto st = std::make_shared<const ExtT>(ExtT{*bag.chain(), pred});
-    typename Bag<T>::Feed feed;
-    typename Bag<T>::Run run;
-    internal::EraseChain(st, &feed, &run);
-    return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<T>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/false,
-            /*counts_bounded=*/true, chain, bag.scale(),
-            bag.key_partitions(), bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
-  }
-  return internal::FusedBag<ExtT>(
-      Filter(static_cast<const Bag<T>&>(bag), pred, weight), nullptr);
+/// Keeps the elements for which `pred` returns true. The output cardinality
+/// is data-dependent: the tracked counts demote to an upper bound, making
+/// this chain a forced boundary for the next narrow op. Filtering never
+/// moves elements, so key partitioning survives.
+template <internal::BagHandle B, typename P>
+auto Filter(const B& bag, P pred, double weight = 1.0) {
+  return internal::ComposeOnto(
+      bag,
+      [pred](auto up) {
+        return internal::FilterFeed<P, decltype(up)>{std::move(up), pred};
+      },
+      {"filter", weight, /*counts_exact=*/false, /*counts_bounded=*/true,
+       /*keeps_key_partitions=*/true});
 }
 
 /// Applies `f` to every element and concatenates the results.
-/// f: T -> iterable of U.
-template <typename T, typename F>
-auto FlatMap(const Bag<T>& bag, F f, double weight = 1.0) {
-  using U = std::decay_t<decltype(*std::begin(f(std::declval<const T&>())))>;
-  using ChainT = internal::FlatMapFeed<F, internal::SourceFeed<T>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<U>(c), nullptr);
-  if (internal::ComposeReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "flatMap");
-    const int chain = internal::NextChainOps(bag);
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] { return ChainT{internal::MakeSourceFeed(bag), f}; },
-        [&] {
-          return internal::ComposeFeed<U>(
-              bag, [f](std::size_t, const typename Bag<U>::Sink& emit) {
-                return [f, &emit](auto&& x) {
-                  for (auto&& y : f(x)) emit(std::move(y));
-                };
-              });
-        });
-    // Expansion is unbounded: counts keep only the partition count
-    // (counts_bounded=false disables output reservation at force time).
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<U>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/false, /*counts_bounded=*/false, chain,
-            bag.scale(), 0, bag.lineage_depth() + 1, std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, weight, "flatMap");
-  const auto& parts = bag.partitions();
-  typename Bag<U>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    for (const auto& x : parts[i]) {
-      for (auto&& y : f(x)) out[i].push_back(std::move(y));
-    }
-  });
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<U>(c, std::move(out), bag.scale(), 0, bag.lineage_depth() + 1)),
-      nullptr);
-}
-
-/// FlatMap over a FusedBag: extends the concrete chain (see Map).
-template <typename Chain, typename F>
-auto FlatMap(const internal::FusedBag<Chain>& bag, F f, double weight = 1.0) {
-  using T = typename Chain::Out;
-  using ExtT = internal::FlatMapFeed<F, Chain>;
-  using U = typename ExtT::Out;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<U>(c), nullptr);
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "flatMap");
-    const int chain = internal::NextChainOps(bag);
-    auto st = std::make_shared<const ExtT>(ExtT{*bag.chain(), f});
-    typename Bag<U>::Feed feed;
-    typename Bag<U>::Run run;
-    internal::EraseChain(st, &feed, &run);
-    return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<U>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/false,
-            /*counts_bounded=*/false, chain, bag.scale(), 0,
-            bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
-  }
-  return internal::FusedBag<ExtT>(
-      FlatMap(static_cast<const Bag<T>&>(bag), f, weight), nullptr);
+/// f: T -> iterable of U. Expansion is unbounded: the tracked counts keep
+/// only the partition count (no output reservation at force time).
+template <internal::BagHandle B, typename F>
+auto FlatMap(const B& bag, F f, double weight = 1.0) {
+  return internal::ComposeOnto(
+      bag,
+      [f](auto up) {
+        return internal::FlatMapFeed<F, decltype(up)>{std::move(up), f};
+      },
+      {"flatMap", weight, /*counts_exact=*/false, /*counts_bounded=*/false,
+       /*keeps_key_partitions=*/false});
 }
 
 /// Transforms whole partitions. f: const std::vector<T>& -> std::vector<U>.
@@ -415,157 +261,29 @@ auto Values(const Bag<std::pair<K, V>>& bag) {
 /// Applies `f` to the value of every pair, keeping keys, and — since keys
 /// do not change — preserving the bag's key partitioning (Spark's
 /// mapValues-with-preservesPartitioning).
-template <typename K, typename V, typename F>
-auto MapValues(const Bag<std::pair<K, V>>& bag, F f, double weight = 1.0) {
-  using W = std::decay_t<decltype(f(std::declval<const V&>()))>;
-  using Out = std::pair<K, W>;
-  using ChainT =
-      internal::MapValuesFeed<F, internal::SourceFeed<std::pair<K, V>>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<Out>(c), nullptr);
-  if (internal::ComposeReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "mapValues");
-    const int chain = internal::NextChainOps(bag);
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] { return ChainT{internal::MakeSourceFeed(bag), f}; },
-        [&] {
-          return internal::ComposeFeed<Out>(
-              bag, [f](std::size_t, const typename Bag<Out>::Sink& emit) {
-                return [f, &emit](auto&& kv) {
-                  // Forward the value so a chain temporary's payload moves
-                  // through a by-value f instead of reallocating (same
-                  // bytes; mirrors MapValuesFeed in fused_feed.h).
-                  emit(Out(std::forward<decltype(kv)>(kv).first,
-                           f(std::forward<decltype(kv)>(kv).second)));
-                };
-              });
-        });
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<Out>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/true, /*counts_bounded=*/true, chain,
-            bag.scale(), bag.key_partitions(), bag.lineage_depth() + 1,
-            std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, weight, "mapValues");
-  const auto& parts = bag.partitions();
-  typename Bag<Out>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    const auto& part = parts[i];
-    out[i].reserve(part.size());
-    for (const auto& [k, v] : part) out[i].emplace_back(k, f(v));
-  });
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<Out>(c, std::move(out), bag.scale(), bag.key_partitions(),
-                   bag.lineage_depth() + 1)),
-      nullptr);
-}
-
-/// MapValues over a FusedBag: extends the concrete chain (see Map).
-template <typename Chain, typename F>
-auto MapValues(const internal::FusedBag<Chain>& bag, F f,
-               double weight = 1.0) {
-  using T = typename Chain::Out;
-  using ExtT = internal::MapValuesFeed<F, Chain>;
-  using Out = typename ExtT::Out;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<Out>(c), nullptr);
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "mapValues");
-    const int chain = internal::NextChainOps(bag);
-    auto st = std::make_shared<const ExtT>(ExtT{*bag.chain(), f});
-    typename Bag<Out>::Feed feed;
-    typename Bag<Out>::Run run;
-    internal::EraseChain(st, &feed, &run);
-    return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<Out>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/true,
-            /*counts_bounded=*/true, chain, bag.scale(),
-            bag.key_partitions(), bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
-  }
-  return internal::FusedBag<ExtT>(
-      MapValues(static_cast<const Bag<T>&>(bag), f, weight), nullptr);
+template <internal::BagHandle B, typename F>
+auto MapValues(const B& bag, F f, double weight = 1.0) {
+  return internal::ComposeOnto(
+      bag,
+      [f](auto up) {
+        return internal::MapValuesFeed<F, decltype(up)>{std::move(up), f};
+      },
+      {"mapValues", weight, /*counts_exact=*/true, /*counts_bounded=*/true,
+       /*keeps_key_partitions=*/true});
 }
 
 /// Applies `f` to the value of every pair and emits one output pair per
 /// produced value, under the same key; preserves key partitioning.
 /// f: V -> iterable of W.
-template <typename K, typename V, typename F>
-auto FlatMapValues(const Bag<std::pair<K, V>>& bag, F f, double weight = 1.0) {
-  using W = std::decay_t<decltype(*std::begin(f(std::declval<const V&>())))>;
-  using Out = std::pair<K, W>;
-  using ChainT =
-      internal::FlatMapValuesFeed<F, internal::SourceFeed<std::pair<K, V>>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<Out>(c), nullptr);
-  if (internal::ComposeReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "flatMapValues");
-    const int chain = internal::NextChainOps(bag);
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] { return ChainT{internal::MakeSourceFeed(bag), f}; },
-        [&] {
-          return internal::ComposeFeed<Out>(
-              bag, [f](std::size_t, const typename Bag<Out>::Sink& emit) {
-                return [f, &emit](auto&& kv) {
-                  for (auto&& w : f(kv.second)) {
-                    emit(Out(kv.first, std::move(w)));
-                  }
-                };
-              });
-        });
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<Out>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/false, /*counts_bounded=*/false, chain,
-            bag.scale(), bag.key_partitions(), bag.lineage_depth() + 1,
-            std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, weight, "flatMapValues");
-  const auto& parts = bag.partitions();
-  typename Bag<Out>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    for (const auto& [k, v] : parts[i]) {
-      for (auto&& w : f(v)) out[i].emplace_back(k, std::move(w));
-    }
-  });
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<Out>(c, std::move(out), bag.scale(), bag.key_partitions(),
-                   bag.lineage_depth() + 1)),
-      nullptr);
-}
-
-/// FlatMapValues over a FusedBag: extends the concrete chain (see Map).
-template <typename Chain, typename F>
-auto FlatMapValues(const internal::FusedBag<Chain>& bag, F f,
-                   double weight = 1.0) {
-  using T = typename Chain::Out;
-  using ExtT = internal::FlatMapValuesFeed<F, Chain>;
-  using Out = typename ExtT::Out;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<Out>(c), nullptr);
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, weight, "flatMapValues");
-    const int chain = internal::NextChainOps(bag);
-    auto st = std::make_shared<const ExtT>(ExtT{*bag.chain(), f});
-    typename Bag<Out>::Feed feed;
-    typename Bag<Out>::Run run;
-    internal::EraseChain(st, &feed, &run);
-    return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<Out>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/false,
-            /*counts_bounded=*/false, chain, bag.scale(),
-            bag.key_partitions(), bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
-  }
-  return internal::FusedBag<ExtT>(
-      FlatMapValues(static_cast<const Bag<T>&>(bag), f, weight), nullptr);
+template <internal::BagHandle B, typename F>
+auto FlatMapValues(const B& bag, F f, double weight = 1.0) {
+  return internal::ComposeOnto(
+      bag,
+      [f](auto up) {
+        return internal::FlatMapValuesFeed<F, decltype(up)>{std::move(up), f};
+      },
+      {"flatMapValues", weight, /*counts_exact=*/false,
+       /*counts_bounded=*/false, /*keeps_key_partitions=*/true});
 }
 
 /// Bag union (multiset semantics, like Spark's union): concatenates the two
@@ -603,82 +321,17 @@ Bag<T> Union(const Bag<T>& a, const Bag<T>& b) {
 /// Pairs every element with a unique 64-bit id (narrow: ids are formed from
 /// the partition index and the offset within the partition, like Spark's
 /// zipWithUniqueId).
-template <typename T>
-auto ZipWithUniqueId(const Bag<T>& bag) {
-  using Out = std::pair<uint64_t, T>;
-  using ChainT = internal::ZipUniqueIdFeed<internal::SourceFeed<T>>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ChainT>(Bag<Out>(c), nullptr);
+template <internal::BagHandle B>
+auto ZipWithUniqueId(const B& bag) {
   const uint64_t stride =
       static_cast<uint64_t>(std::max<int64_t>(1, bag.num_partitions()));
-  if (internal::ComposeReady(bag)) {
-    internal::ChargeScanStage(bag, 1.0, "zipWithUniqueId");
-    const int chain = internal::NextChainOps(bag);
-    // Composing is only legal on size-preserving chains (ComposeReady
-    // forces otherwise), so the stream offset of each element equals its
-    // materialized offset and the assigned ids match the eager path.
-    auto repr = internal::MakeDeferredRepr<ChainT>(
-        c,
-        [&] { return ChainT{internal::MakeSourceFeed(bag), stride}; },
-        [&] {
-          return internal::ComposeFeed<Out>(
-              bag,
-              [stride](std::size_t p, const typename Bag<Out>::Sink& emit) {
-                return [stride, p, j = uint64_t{0}, &emit](auto&& x) mutable {
-                  emit(Out(j++ * stride + p, std::forward<decltype(x)>(x)));
-                };
-              });
-        });
-    return internal::FusedBag<ChainT>(
-        internal::MaybeAutoCheckpoint(Bag<Out>::Deferred(
-            c, std::move(repr.feed), bag.PartitionSizes(),
-            /*counts_exact=*/true, /*counts_bounded=*/true, chain,
-            bag.scale(), 0, bag.lineage_depth() + 1, std::move(repr.run))),
-        std::move(repr.chain));
-  }
-  internal::ChargeScanStage(bag, 1.0, "zipWithUniqueId");
-  const auto& parts = bag.partitions();
-  typename Bag<Out>::Partitions out(parts.size());
-  internal::GuardedParallelFor(c, parts.size(), [&](std::size_t i) {
-    const auto& part = parts[i];
-    out[i].reserve(part.size());
-    for (std::size_t j = 0; j < part.size(); ++j) {
-      out[i].emplace_back(static_cast<uint64_t>(j) * stride + i, part[j]);
-    }
-  });
-  return internal::FusedBag<ChainT>(
-      internal::MaybeAutoCheckpoint(
-          Bag<Out>(c, std::move(out), bag.scale(), 0,
-                   bag.lineage_depth() + 1)),
-      nullptr);
-}
-
-/// ZipWithUniqueId over a FusedBag: extends the concrete chain (see Map).
-template <typename Chain>
-auto ZipWithUniqueId(const internal::FusedBag<Chain>& bag) {
-  using T = typename Chain::Out;
-  using Out = std::pair<uint64_t, T>;
-  using ExtT = internal::ZipUniqueIdFeed<Chain>;
-  Cluster* c = bag.cluster();
-  if (!c->ok()) return internal::FusedBag<ExtT>(Bag<Out>(c), nullptr);
-  const uint64_t stride =
-      static_cast<uint64_t>(std::max<int64_t>(1, bag.num_partitions()));
-  if (internal::ComposeReady(bag) && internal::ExtendReady(bag)) {
-    internal::ChargeScanStage(bag, 1.0, "zipWithUniqueId");
-    const int chain = internal::NextChainOps(bag);
-    auto st = std::make_shared<const ExtT>(ExtT{*bag.chain(), stride});
-    typename Bag<Out>::Feed feed;
-    typename Bag<Out>::Run run;
-    internal::EraseChain(st, &feed, &run);
-    return internal::FusedBag<ExtT>(
-        internal::MaybeAutoCheckpoint(Bag<Out>::Deferred(
-            c, std::move(feed), bag.PartitionSizes(), /*counts_exact=*/true,
-            /*counts_bounded=*/true, chain, bag.scale(), 0,
-            bag.lineage_depth() + 1, std::move(run))),
-        std::move(st));
-  }
-  return internal::FusedBag<ExtT>(
-      ZipWithUniqueId(static_cast<const Bag<T>&>(bag)), nullptr);
+  return internal::ComposeOnto(
+      bag,
+      [stride](auto up) {
+        return internal::ZipUniqueIdFeed<decltype(up)>{std::move(up), stride};
+      },
+      {"zipWithUniqueId", 1.0, /*counts_exact=*/true,
+       /*counts_bounded=*/true, /*keeps_key_partitions=*/false});
 }
 
 // --- Actions ---

@@ -62,8 +62,8 @@ namespace internal {
 /// The arithmetic core of the auto-checkpoint decision, on bag *metadata*
 /// (lineage depth, real element count, real byte estimate). Factored out so
 /// the native-iteration operators (iterate.h), which track metadata for bags
-/// they never materialize per-op, reach the exact comparison the eager
-/// engine runs in MaybeAutoCheckpoint — same expression, same rounding, same
+/// they never materialize per-op, reach the exact comparison the engine
+/// runs in MaybeAutoCheckpoint — same expression, same rounding, same
 /// verdict. Callers are responsible for the policy/lineage early-outs.
 inline bool AutoCheckpointFires(const Cluster& c, int lineage_depth,
                                double real_size, double real_bytes) {
@@ -86,8 +86,8 @@ inline bool AutoCheckpointFires(const Cluster& c, int lineage_depth,
 /// actually needs data: the policy/lineage early-outs and the RealSize of a
 /// size-preserving chain answer from metadata, while the byte estimate (and
 /// a triggered Checkpoint) force the chain — producing exactly the values
-/// the eager engine computes on its materialized output, so the decision
-/// and every charge are bit-identical with fusion on or off.
+/// of its materialized output, so the decision and every charge are the
+/// same whether or not the chain was forced before the probe.
 template <typename T>
 Bag<T> MaybeAutoCheckpoint(Bag<T> bag) {
   Cluster* c = bag.cluster();

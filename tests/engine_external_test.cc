@@ -237,6 +237,30 @@ TEST(ExternalDeterminismTest, SpillFileIsUnlinkedAndCountsLive) {
   EXPECT_EQ(count_visible(), 0);
 }
 
+TEST(ExternalDeterminismTest, UnfilledQuotaCreatesNoSpillFile) {
+  // A bounded wide op whose producers never fill their quota must not
+  // touch the temp dir at all: with TMPDIR pointing at a directory that
+  // does not exist, creating even one spill file would CHECK-fail.
+  const char* old = std::getenv("TMPDIR");
+  const std::optional<std::string> saved =
+      old != nullptr ? std::optional<std::string>(old) : std::nullopt;
+  ::setenv("TMPDIR", "/nonexistent/matryoshka-spill-dir", /*overwrite=*/1);
+  Cluster c(Config(true, std::size_t{1} << 30));
+  auto repartitioned = Repartition(MakePairs(&c), 5);
+  auto grouped = GroupByKey(MakePairs(&c), 8);
+  const int64_t rows = Count(repartitioned) + Count(grouped);
+  if (saved.has_value()) {
+    ::setenv("TMPDIR", saved->c_str(), /*overwrite=*/1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  EXPECT_EQ(rows, 5000 + 128);
+  EXPECT_EQ(c.metrics().real_spill_events, 0);
+  EXPECT_EQ(c.metrics().real_spilled_bytes, 0.0);
+  EXPECT_EQ(SpillFile::LiveCount(), 0);
+}
+
 // --- External scatter kernel ---------------------------------------------
 
 TEST(ExternalDeterminismTest, ExternalScatterMatchesReferenceLoop) {

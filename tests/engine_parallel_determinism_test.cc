@@ -5,11 +5,12 @@
 // from the driver thread only, so nothing may depend on execution order.
 //
 // The FusionDeterminismTest section extends the same contract to the fused
-// narrow-op layer (ClusterConfig::fusion): with fusion on, every narrow op
-// and every wide-op/action forcing point must produce bit-identical data
-// (contents AND order, key_partitions), bit-identical Metrics, and
-// byte-identical exported traces versus the eager path — clean, under an
-// active FaultPlan, and under a RecoveryPolicy with auto-checkpointing.
+// narrow-op layer: every narrow op and every wide-op/action forcing point
+// must produce bit-identical data (contents AND order, key_partitions),
+// bit-identical Metrics, and byte-identical exported traces whether the
+// program holds its chains in `auto`, slices every step to a Bag<T>, or
+// forces after every op — clean, under an active FaultPlan, and under a
+// RecoveryPolicy with auto-checkpointing.
 
 #include <gtest/gtest.h>
 
@@ -49,6 +50,39 @@ ClusterConfig Config(bool parallel) {
   return cfg;
 }
 
+// A narrow-op program can be spelled three ways, and all three must be
+// bit-identical on data, metrics, and traces — with all charging done at
+// composition time. The programs below apply their spelling to the result
+// of every narrow op:
+//  - KeepChain holds the chain in `auto`: every op extends the static chain
+//    and the whole chain runs as one monomorphic loop.
+//  - SliceToBag assigns every step to a plain Bag<T>: every op composes
+//    through the one erased hop src/core's InnerBag makes.
+//  - ForceEach calls Force() after every op: one pass per op, the
+//    unfused baseline (Force charges nothing).
+
+struct KeepChain {
+  template <typename B>
+  B operator()(B bag) const {
+    return bag;
+  }
+};
+
+struct SliceToBag {
+  template <typename B>
+  Bag<typename B::Element> operator()(const B& bag) const {
+    return bag;
+  }
+};
+
+struct ForceEach {
+  template <typename B>
+  Bag<typename B::Element> operator()(const B& bag) const {
+    bag.Force();
+    return bag;
+  }
+};
+
 struct SuiteOutcome {
   Metrics metrics;
   bool ok = false;
@@ -61,8 +95,10 @@ struct SuiteOutcome {
 };
 
 /// Runs one fixed program through every operator family and snapshots both
-/// the results and the complete metrics.
-SuiteOutcome RunSuite(ClusterConfig cfg) {
+/// the results and the complete metrics. `step` is applied to the result of
+/// every narrow op (see the spellings above).
+template <typename Step = KeepChain>
+SuiteOutcome RunSuite(ClusterConfig cfg, const Step& step = {}) {
   Cluster c(cfg);
   SuiteOutcome out;
 
@@ -71,68 +107,71 @@ SuiteOutcome RunSuite(ClusterConfig cfg) {
   auto pairs = Parallelize(&c, kv, 8);
 
   // Narrow chain.
-  auto mapped = Map(pairs, [](const std::pair<int64_t, int64_t>& p) {
+  auto mapped = step(Map(pairs, [](const std::pair<int64_t, int64_t>& p) {
     return std::pair<int64_t, int64_t>(p.first, p.second + 1);
-  });
+  }));
   auto filtered =
-      Filter(mapped, [](const std::pair<int64_t, int64_t>& p) {
+      step(Filter(mapped, [](const std::pair<int64_t, int64_t>& p) {
         return p.second % 3 != 0;
-      });
-  auto flat = FlatMapValues(filtered, [](int64_t v) {
+      }));
+  auto flat = step(FlatMapValues(filtered, [](int64_t v) {
     return std::vector<int64_t>{v, v * 2};
-  });
+  }));
   auto repartitioned = MapPartitions(
       flat, [](const std::vector<std::pair<int64_t, int64_t>>& part) {
         return part;
       });
-  auto with_ids = ZipWithUniqueId(Values(repartitioned));
-  auto sampled = Sample(Keys(pairs), 0.5, kSeed);
+  auto with_ids = step(ZipWithUniqueId(step(Values(repartitioned))));
+  auto sampled = step(Sample(step(Keys(pairs)), 0.5, kSeed));
 
   // Wide operators.
   auto reduced_bag = ReduceByKey(
       repartitioned, [](int64_t a, int64_t b) { return a + b; }, 8);
   auto grouped = GroupByKey(filtered, 8);
-  auto grouped_sizes = MapValues(grouped, [](const std::vector<int64_t>& g) {
-    return static_cast<int64_t>(g.size());
-  });
-  auto distinct = Distinct(Keys(filtered), 8);
+  auto grouped_sizes =
+      step(MapValues(grouped, [](const std::vector<int64_t>& g) {
+        return static_cast<int64_t>(g.size());
+      }));
+  auto distinct = Distinct(step(Keys(filtered)), 8);
   auto aggregated = AggregateByKey(
       filtered, int64_t{0}, [](int64_t a, int64_t v) { return a + v; },
       [](int64_t a, int64_t b) { return a + b; }, 8);
 
   // Joins.
   auto joined = RepartitionJoin(reduced_bag, aggregated, 8);
-  auto joined_flat = MapValues(
-      joined, [](const std::pair<int64_t, int64_t>& vw) {
+  auto joined_flat =
+      step(MapValues(joined, [](const std::pair<int64_t, int64_t>& vw) {
         return vw.first + vw.second;
-      });
+      }));
   std::vector<std::pair<int64_t, int64_t>> small_kv;
   for (int64_t i = 0; i < 16; ++i) small_kv.emplace_back(i, i * 10);
   auto small = Parallelize(&c, small_kv, 2, /*scale=*/1.0);
   auto bjoined = BroadcastJoin(reduced_bag, small);
   auto louter = LeftOuterJoin(small, reduced_bag, 8);
   auto cogrouped = CoGroup(reduced_bag, aggregated, 8);
-  auto cg_sizes = MapValues(
+  auto cg_sizes = step(MapValues(
       cogrouped,
       [](const std::pair<std::vector<int64_t>, std::vector<int64_t>>& g) {
         return static_cast<int64_t>(g.first.size() + 100 * g.second.size());
-      });
-  auto cart = Cartesian(distinct, Keys(small));
-  auto cart_sums = Map(cart, [](const std::pair<int64_t, int64_t>& p) {
+      }));
+  auto cart = Cartesian(distinct, step(Keys(small)));
+  auto cart_sums = step(Map(cart, [](const std::pair<int64_t, int64_t>& p) {
     return p.first * 1000 + p.second;
-  });
+  }));
 
   // Set ops.
-  auto sub = Subtract(Keys(filtered), distinct, 8);  // empty by construction
-  auto inter = Intersection(Keys(filtered), sampled, 8);
+  // Empty by construction.
+  auto sub = Subtract(step(Keys(filtered)), distinct, 8);
+  auto inter = Intersection(step(Keys(filtered)), sampled, 8);
   auto unioned = Union(distinct, inter);
 
   // Actions.
   out.count = Count(unioned);
   out.reduced =
-      Reduce(Values(aggregated), [](int64_t a, int64_t b) { return a + b; })
+      Reduce(step(Values(aggregated)),
+             [](int64_t a, int64_t b) { return a + b; })
           .value_or(0);
-  auto top = TopK(Keys(pairs), 5, std::less<int64_t>());
+  auto top = TopK(step(Keys(pairs)), 5, std::less<int64_t>());
 
   auto snap_pairs = [](std::vector<std::pair<int64_t, int64_t>> v) {
     std::sort(v.begin(), v.end());
@@ -146,10 +185,10 @@ SuiteOutcome RunSuite(ClusterConfig cfg) {
   out.pairs = snap_pairs(Collect(joined_flat));
   auto more_pairs = snap_pairs(Collect(grouped_sizes));
   out.pairs.insert(out.pairs.end(), more_pairs.begin(), more_pairs.end());
-  auto bj = snap_pairs(Collect(MapValues(
-      bjoined, [](const std::pair<int64_t, int64_t>& vw) {
+  auto bj = snap_pairs(Collect(
+      step(MapValues(bjoined, [](const std::pair<int64_t, int64_t>& vw) {
         return vw.first - vw.second;
-      })));
+      }))));
   out.pairs.insert(out.pairs.end(), bj.begin(), bj.end());
   auto cg = snap_pairs(Collect(cg_sizes));
   out.pairs.insert(out.pairs.end(), cg.begin(), cg.end());
@@ -157,9 +196,10 @@ SuiteOutcome RunSuite(ClusterConfig cfg) {
   out.ints = snap_ints(Collect(cart_sums));
   auto extra1 = snap_ints(Collect(sub));
   auto extra2 = snap_ints(Collect(unioned));
-  auto extra3 = snap_ints(Collect(Map(with_ids, [](const std::pair<uint64_t, int64_t>& p) {
-    return static_cast<int64_t>(p.first);
-  })));
+  auto extra3 = snap_ints(Collect(
+      step(Map(with_ids, [](const std::pair<uint64_t, int64_t>& p) {
+        return static_cast<int64_t>(p.first);
+      }))));
   out.extras = extra1;
   out.extras.insert(out.extras.end(), extra2.begin(), extra2.end());
   out.extras.insert(out.extras.end(), extra3.begin(), extra3.end());
@@ -409,20 +449,7 @@ TEST(ParallelDeterminismTest, PoolDoesNotPerturbFaultInjection) {
 
 // --- Fusion bit-identity --------------------------------------------------
 //
-// ClusterConfig::fusion defaults on, so every test above already runs the
-// fused path. The checks below pin the A/B contract explicitly: fusion off
-// is the eager pre-fusion engine, fusion on must match it bit for bit on
-// data, metrics, and traces — with all charging done at composition time.
-
-ClusterConfig WithFusion(ClusterConfig cfg, bool enabled) {
-  cfg.fusion.enabled = enabled;
-  return cfg;
-}
-
-ClusterConfig WithStaticFeeds(ClusterConfig cfg, bool enabled) {
-  cfg.fusion.static_feeds = enabled;
-  return cfg;
-}
+// Every program below runs in the three spellings defined before RunSuite.
 
 ClusterConfig WithRecovery(ClusterConfig cfg) {
   cfg.faults.seed = 5;
@@ -436,128 +463,133 @@ ClusterConfig WithRecovery(ClusterConfig cfg) {
   return cfg;
 }
 
-using PairBag = Bag<std::pair<int64_t, int64_t>>;
-
-/// A map -> filter -> mapValues chain (pending under fusion: the filter
-/// demotes the tracked counts to a bound, so the trailing mapValues starts
-/// a fresh chain on the forced filter output).
-PairBag NarrowChain(Cluster* c) {
-  auto mapped = Map(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
-    return std::pair<int64_t, int64_t>(p.first, p.second + 3);
-  });
-  auto filtered = Filter(mapped, [](const std::pair<int64_t, int64_t>& p) {
-    return p.second % 5 != 0;
-  });
-  return MapValues(filtered, [](int64_t v) { return v * 7; });
+/// A map -> filter -> mapValues chain (the filter demotes the tracked
+/// counts to a bound, so the trailing mapValues starts a fresh chain on the
+/// forced filter output).
+template <typename Step>
+auto NarrowChain(Cluster* c, const Step& step) {
+  auto mapped =
+      step(Map(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
+        return std::pair<int64_t, int64_t>(p.first, p.second + 3);
+      }));
+  auto filtered =
+      step(Filter(mapped, [](const std::pair<int64_t, int64_t>& p) {
+        return p.second % 5 != 0;
+      }));
+  return step(MapValues(filtered, [](int64_t v) { return v * 7; }));
 }
 
-/// Runs `make_op` (Cluster* -> Bag) with fusion off and on (the fused arm
-/// under BOTH feed representations: legacy type-erased std::function chains
-/// and static CRTP chains) — pool off/on × {clean, active FaultPlan,
-/// FaultPlan + RecoveryPolicy with auto-checkpointing} — and requires
-/// bit-identical bags (contents AND order, key_partitions) and full Metrics
-/// each time. Metrics are compared BEFORE the fused result is materialized:
-/// the fusion contract charges everything at composition time, and forcing
-/// must charge nothing — under either feed representation.
+/// Runs `make_op(cluster, step)` in all three spellings — pool off/on ×
+/// {clean, active FaultPlan, FaultPlan + RecoveryPolicy with
+/// auto-checkpointing} — and requires bit-identical bags (contents AND
+/// order, key_partitions) and full Metrics each time. Metrics are compared
+/// BEFORE the chained and sliced results are materialized: the fusion
+/// contract charges everything at composition time, and forcing must charge
+/// nothing.
 template <typename MakeOp>
 void ExpectFusionBitIdentical(const MakeOp& make_op) {
   for (int regime = 0; regime < 3; ++regime) {
     for (bool parallel : {false, true}) {
-      ClusterConfig base = Config(parallel);
-      if (regime == 1) base = WithFaults(base);
-      if (regime == 2) base = WithRecovery(base);
-      Cluster off(WithFusion(base, false));
-      Cluster erased(WithStaticFeeds(WithFusion(base, true), false));
-      Cluster fused(WithStaticFeeds(WithFusion(base, true), true));
-      auto eager_bag = make_op(&off);
-      auto erased_bag = make_op(&erased);
-      auto fused_bag = make_op(&fused);
-      ASSERT_EQ(off.ok(), erased.ok())
+      ClusterConfig cfg = Config(parallel);
+      if (regime == 1) cfg = WithFaults(cfg);
+      if (regime == 2) cfg = WithRecovery(cfg);
+      Cluster forced(cfg);
+      Cluster sliced(cfg);
+      Cluster chained(cfg);
+      auto forced_bag = make_op(&forced, ForceEach{});
+      auto sliced_bag = make_op(&sliced, SliceToBag{});
+      auto chained_bag = make_op(&chained, KeepChain{});
+      ASSERT_EQ(forced.ok(), sliced.ok())
           << "regime " << regime << " pool " << parallel;
-      ASSERT_EQ(off.ok(), fused.ok())
+      ASSERT_EQ(forced.ok(), chained.ok())
           << "regime " << regime << " pool " << parallel;
-      ExpectSameMetrics(off.metrics(), erased.metrics());
-      ExpectSameMetrics(off.metrics(), fused.metrics());
-      ExpectBitIdenticalBags(eager_bag, erased_bag);
-      ExpectBitIdenticalBags(eager_bag, fused_bag);
+      ExpectSameMetrics(forced.metrics(), sliced.metrics());
+      ExpectSameMetrics(forced.metrics(), chained.metrics());
+      ExpectBitIdenticalBags(forced_bag, sliced_bag);
+      ExpectBitIdenticalBags(forced_bag, chained_bag);
       // ExpectBitIdenticalBags forced any pending chain; that must not have
-      // added a single charge on either fused arm.
-      ExpectSameMetrics(off.metrics(), erased.metrics());
-      ExpectSameMetrics(off.metrics(), fused.metrics());
+      // added a single charge in either spelling.
+      ExpectSameMetrics(forced.metrics(), sliced.metrics());
+      ExpectSameMetrics(forced.metrics(), chained.metrics());
     }
   }
 }
 
-// Per narrow op: composition must match eager execution exactly.
+// Per narrow op: every spelling must match exactly.
 
 TEST(FusionDeterminismTest, MapChainBitIdentical) {
-  ExpectFusionBitIdentical([](Cluster* c) {
-    auto once = Map(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
-      return std::pair<int64_t, int64_t>(p.first, p.second + 1);
-    });
-    return Map(once, [](const std::pair<int64_t, int64_t>& p) {
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    auto once =
+        step(Map(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
+          return std::pair<int64_t, int64_t>(p.first, p.second + 1);
+        }));
+    return step(Map(once, [](const std::pair<int64_t, int64_t>& p) {
       return std::pair<int64_t, int64_t>(p.second, p.first * 2);
-    });
+    }));
   });
 }
 
 TEST(FusionDeterminismTest, FilterBitIdentical) {
-  ExpectFusionBitIdentical([](Cluster* c) {
-    return Filter(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
-      return (p.first + p.second) % 3 != 0;
-    });
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    return step(
+        Filter(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
+          return (p.first + p.second) % 3 != 0;
+        }));
   });
 }
 
 TEST(FusionDeterminismTest, FlatMapBitIdentical) {
-  ExpectFusionBitIdentical([](Cluster* c) {
-    return FlatMap(Keys(MakePairs(c)), [](int64_t k) {
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    return step(FlatMap(step(Keys(MakePairs(c))), [](int64_t k) {
       return std::vector<int64_t>{k, -k};
-    });
+    }));
   });
 }
 
 TEST(FusionDeterminismTest, MapValuesBitIdentical) {
-  ExpectFusionBitIdentical([](Cluster* c) {
-    return MapValues(MakePairs(c), [](int64_t v) { return v * 11 - 5; });
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    return step(MapValues(MakePairs(c), [](int64_t v) { return v * 11 - 5; }));
   });
 }
 
 TEST(FusionDeterminismTest, FlatMapValuesBitIdentical) {
-  ExpectFusionBitIdentical([](Cluster* c) {
-    return FlatMapValues(MakePairs(c), [](int64_t v) {
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    return step(FlatMapValues(MakePairs(c), [](int64_t v) {
       return std::vector<int64_t>{v, v + 1, v + 2};
-    });
+    }));
   });
 }
 
 TEST(FusionDeterminismTest, ZipWithUniqueIdBitIdentical) {
-  ExpectFusionBitIdentical([](Cluster* c) {
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
     // Composed onto a size-preserving chain: stream offsets must equal the
-    // materialized offsets, so the assigned ids match the eager path.
-    auto mapped = Map(Keys(MakePairs(c)), [](int64_t k) { return k * 3; });
-    auto zipped = ZipWithUniqueId(mapped);
-    return Map(zipped, [](const std::pair<uint64_t, int64_t>& p) {
+    // materialized offsets, so the assigned ids match the forced spelling.
+    auto mapped = step(
+        Map(step(Keys(MakePairs(c))), [](int64_t k) { return k * 3; }));
+    auto zipped = step(ZipWithUniqueId(mapped));
+    return step(Map(zipped, [](const std::pair<uint64_t, int64_t>& p) {
       return std::pair<int64_t, int64_t>(static_cast<int64_t>(p.first),
                                          p.second);
-    });
+    }));
   });
 }
 
 TEST(FusionDeterminismTest, SampleBitIdentical) {
-  ExpectFusionBitIdentical([](Cluster* c) {
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
     // The per-partition position counter drives Sample's deterministic
     // draws; composing must reproduce them exactly.
-    auto mapped = Map(Keys(MakePairs(c)), [](int64_t k) { return k + 100; });
-    return Sample(mapped, 0.5, kSeed);
+    auto mapped = step(
+        Map(step(Keys(MakePairs(c))), [](int64_t k) { return k + 100; }));
+    return step(Sample(mapped, 0.5, kSeed));
   });
 }
 
 TEST(FusionDeterminismTest, MapPartitionsForcesPendingInput) {
-  ExpectFusionBitIdentical([](Cluster* c) {
-    auto mapped = Map(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
-      return std::pair<int64_t, int64_t>(p.first, p.second * 2);
-    });
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    auto mapped =
+        step(Map(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
+          return std::pair<int64_t, int64_t>(p.first, p.second * 2);
+        }));
     return MapPartitions(
         mapped, [](const std::vector<std::pair<int64_t, int64_t>>& part) {
           std::vector<std::pair<int64_t, int64_t>> out(part.rbegin(),
@@ -569,234 +601,237 @@ TEST(FusionDeterminismTest, MapPartitionsForcesPendingInput) {
 
 TEST(FusionDeterminismTest, CardinalityChangingChainBitIdentical) {
   // filter -> map -> sample: every op after the filter composes on a forced
-  // boundary; the data and charges must still match eager exactly.
-  ExpectFusionBitIdentical([](Cluster* c) {
+  // boundary; the data and charges must still match exactly.
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
     auto filtered =
-        Filter(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
+        step(Filter(MakePairs(c), [](const std::pair<int64_t, int64_t>& p) {
           return p.first % 2 == 0;
-        });
-    auto mapped = Map(filtered, [](const std::pair<int64_t, int64_t>& p) {
-      return std::pair<int64_t, int64_t>(p.first / 2, p.second);
-    });
-    return Sample(mapped, 0.7, kSeed + 1);
+        }));
+    auto mapped =
+        step(Map(filtered, [](const std::pair<int64_t, int64_t>& p) {
+          return std::pair<int64_t, int64_t>(p.first / 2, p.second);
+        }));
+    return step(Sample(mapped, 0.7, kSeed + 1));
   });
 }
 
-TEST(FusionDeterminismTest, DepthCapForcesBoundary) {
-  // A chain longer than max_chain_depth must force mid-chain and keep both
-  // data and metrics identical to eager — under either feed representation.
-  for (bool static_feeds : {false, true}) {
-    for (bool parallel : {false, true}) {
-      ClusterConfig on_cfg =
-          WithStaticFeeds(WithFusion(Config(parallel), true), static_feeds);
-      on_cfg.fusion.max_chain_depth = 2;
-      Cluster off(WithFusion(Config(parallel), false));
-      Cluster on(on_cfg);
-      auto program = [](Cluster* c) {
-        auto bag = MakePairs(c);
-        for (int i = 0; i < 5; ++i) {
-          bag = Map(bag, [](const std::pair<int64_t, int64_t>& p) {
-            return std::pair<int64_t, int64_t>(p.first, p.second + 1);
-          });
-        }
-        return bag;
-      };
-      auto eager = program(&off);
-      auto fused = program(&on);
-      ExpectSameMetrics(off.metrics(), on.metrics());
-      ExpectBitIdenticalBags(eager, fused);
-    }
+/// A namespace-scope UDF: a lambda inside IncrementTimes would name the
+/// whole chain type it extends, and the type names would double per op.
+struct IncrementValue {
+  std::pair<int64_t, int64_t> operator()(
+      const std::pair<int64_t, int64_t>& p) const {
+    return {p.first, p.second + 1};
+  }
+};
+
+/// `N` Maps in sequence, each result passed through `step`.
+template <int N, typename B, typename Step>
+auto IncrementTimes(const B& bag, const Step& step) {
+  auto next = step(Map(bag, IncrementValue{}));
+  if constexpr (N == 1) {
+    return next;
+  } else {
+    return IncrementTimes<N - 1>(next, step);
   }
 }
 
+TEST(FusionDeterminismTest, DepthCapForcesBoundary) {
+  // A chain one op longer than kMaxChainDepth must force mid-chain and keep
+  // data and metrics identical in every spelling.
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    return IncrementTimes<kMaxChainDepth + 1>(MakePairs(c), step);
+  });
+  Cluster c(Config(false));
+  auto chained = IncrementTimes<kMaxChainDepth + 1>(MakePairs(&c), KeepChain{});
+  EXPECT_EQ(chained.pending_chain_ops(), 1);
+}
+
 // Per wide-op forcing point: a pending chain consumed by each wide operator
-// must materialize to exactly the eager input, leaving the wide op's output
+// must materialize to exactly the forced input, leaving the wide op's output
 // and charges bit-identical.
 
 TEST(FusionDeterminismTest, ForcedByRepartition) {
-  ExpectFusionBitIdentical(
-      [](Cluster* c) { return Repartition(NarrowChain(c), 5); });
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    return Repartition(NarrowChain(c, step), 5);
+  });
 }
 
 TEST(FusionDeterminismTest, ForcedByPartitionByKey) {
-  ExpectFusionBitIdentical(
-      [](Cluster* c) { return PartitionByKey(NarrowChain(c), 8); });
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    return PartitionByKey(NarrowChain(c, step), 8);
+  });
 }
 
 TEST(FusionDeterminismTest, ForcedByReduceByKeyBothPaths) {
   // Shuffle path.
-  ExpectFusionBitIdentical([](Cluster* c) {
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
     return ReduceByKey(
-        NarrowChain(c), [](int64_t a, int64_t b) { return a + b; }, 8);
+        NarrowChain(c, step), [](int64_t a, int64_t b) { return a + b; }, 8);
   });
   // Co-partitioned narrow path: a key-preserving pending chain over an
   // already-partitioned bag.
-  ExpectFusionBitIdentical([](Cluster* c) {
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
     auto keyed = PartitionByKey(MakePairs(c), 8);
-    auto chain = MapValues(keyed, [](int64_t v) { return v + 2; });
+    auto chain = step(MapValues(keyed, [](int64_t v) { return v + 2; }));
     return ReduceByKey(
         chain, [](int64_t a, int64_t b) { return a + b; }, 8);
   });
 }
 
 TEST(FusionDeterminismTest, ForcedByGroupByKeyAndDistinct) {
-  ExpectFusionBitIdentical([](Cluster* c) {
-    auto grouped = GroupByKey(NarrowChain(c), 8);
-    return MapValues(grouped, [](const std::vector<int64_t>& g) {
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    auto grouped = GroupByKey(NarrowChain(c, step), 8);
+    return step(MapValues(grouped, [](const std::vector<int64_t>& g) {
       return static_cast<int64_t>(g.size());
-    });
+    }));
   });
-  ExpectFusionBitIdentical(
-      [](Cluster* c) { return Distinct(Keys(NarrowChain(c)), 8); });
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    return Distinct(step(Keys(NarrowChain(c, step))), 8);
+  });
 }
 
 TEST(FusionDeterminismTest, ForcedByJoins) {
-  ExpectFusionBitIdentical([](Cluster* c) {
-    auto joined = RepartitionJoin(NarrowChain(c), MakeSmallPairs(c), 8);
-    return MapValues(joined, [](const std::pair<int64_t, int64_t>& vw) {
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    auto joined = RepartitionJoin(NarrowChain(c, step), MakeSmallPairs(c), 8);
+    return step(MapValues(joined, [](const std::pair<int64_t, int64_t>& vw) {
       return vw.first + vw.second;
-    });
+    }));
   });
-  ExpectFusionBitIdentical([](Cluster* c) {
-    auto joined = BroadcastJoin(NarrowChain(c), MakeSmallPairs(c));
-    return MapValues(joined, [](const std::pair<int64_t, int64_t>& vw) {
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    auto joined = BroadcastJoin(NarrowChain(c, step), MakeSmallPairs(c));
+    return step(MapValues(joined, [](const std::pair<int64_t, int64_t>& vw) {
       return vw.first - vw.second;
-    });
+    }));
   });
-  ExpectFusionBitIdentical([](Cluster* c) {
-    auto joined = LeftOuterJoin(MakeSmallPairs(c), NarrowChain(c), 8);
-    return MapValues(
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    auto joined = LeftOuterJoin(MakeSmallPairs(c), NarrowChain(c, step), 8);
+    return step(MapValues(
         joined, [](const std::pair<int64_t, std::optional<int64_t>>& vw) {
           return vw.first + vw.second.value_or(-1);
-        });
+        }));
   });
-  ExpectFusionBitIdentical([](Cluster* c) {
-    auto cg = CoGroup(NarrowChain(c), MakeSmallPairs(c), 8);
-    return MapValues(
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    auto cg = CoGroup(NarrowChain(c, step), MakeSmallPairs(c), 8);
+    return step(MapValues(
         cg, [](const std::pair<std::vector<int64_t>, std::vector<int64_t>>& g) {
           return static_cast<int64_t>(g.first.size() + 100 * g.second.size());
-        });
+        }));
   });
 }
 
 TEST(FusionDeterminismTest, ForcedBySetOpsUnionAndCartesian) {
-  ExpectFusionBitIdentical([](Cluster* c) {
-    return Subtract(Keys(NarrowChain(c)), Keys(MakeSmallPairs(c)), 8);
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    return Subtract(step(Keys(NarrowChain(c, step))),
+                    step(Keys(MakeSmallPairs(c))), 8);
   });
-  ExpectFusionBitIdentical([](Cluster* c) {
-    return Intersection(Keys(NarrowChain(c)), Keys(MakePairs(c)), 8);
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    return Intersection(step(Keys(NarrowChain(c, step))),
+                        step(Keys(MakePairs(c))), 8);
   });
-  ExpectFusionBitIdentical([](Cluster* c) {
-    auto left = Map(Keys(MakePairs(c)), [](int64_t k) { return k + 1; });
-    return Union(left, Keys(MakeSmallPairs(c)));
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    auto left = step(
+        Map(step(Keys(MakePairs(c))), [](int64_t k) { return k + 1; }));
+    return Union(left, step(Keys(MakeSmallPairs(c))));
   });
-  ExpectFusionBitIdentical([](Cluster* c) {
-    auto cart = Cartesian(Keys(MakeSmallPairs(c)),
-                          Distinct(Keys(NarrowChain(c)), 4));
-    return Map(cart, [](const std::pair<int64_t, int64_t>& p) {
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    auto cart = Cartesian(step(Keys(MakeSmallPairs(c))),
+                          Distinct(step(Keys(NarrowChain(c, step))), 4));
+    return step(Map(cart, [](const std::pair<int64_t, int64_t>& p) {
       return std::pair<int64_t, int64_t>(p.first, p.second);
-    });
+    }));
   });
 }
 
 TEST(FusionDeterminismTest, ForcedByCheckpoint) {
-  ExpectFusionBitIdentical(
-      [](Cluster* c) { return Checkpoint(NarrowChain(c)); });
+  ExpectFusionBitIdentical([](Cluster* c, const auto& step) {
+    return Checkpoint(NarrowChain(c, step));
+  });
 }
 
 TEST(FusionDeterminismTest, ActionsForceAndMatch) {
   // Count / NotEmpty / Reduce / Collect / TopK on a pending chain must
-  // return the eager values and charge the eager metrics.
+  // return the same values and charge the same metrics in every spelling.
   for (int regime = 0; regime < 3; ++regime) {
-    ClusterConfig base = Config(true);
-    if (regime == 1) base = WithFaults(base);
-    if (regime == 2) base = WithRecovery(base);
-    Cluster off(WithFusion(base, false));
-    Cluster erased(WithStaticFeeds(WithFusion(base, true), false));
-    Cluster fused(WithStaticFeeds(WithFusion(base, true), true));
-    auto run = [](Cluster* c) {
-      auto chain = NarrowChain(c);
-      auto keys = Keys(NarrowChain(c));
+    ClusterConfig cfg = Config(true);
+    if (regime == 1) cfg = WithFaults(cfg);
+    if (regime == 2) cfg = WithRecovery(cfg);
+    Cluster forced(cfg);
+    Cluster sliced(cfg);
+    Cluster chained(cfg);
+    auto run = [](Cluster* c, const auto& step) {
+      auto chain = NarrowChain(c, step);
+      auto keys = step(Keys(NarrowChain(c, step)));
       return std::tuple<int64_t, bool, int64_t,
                         std::vector<std::pair<int64_t, int64_t>>,
                         std::vector<int64_t>>(
           Count(chain), NotEmpty(chain),
           Reduce(keys, [](int64_t a, int64_t b) { return a + b; }).value_or(0),
-          Collect(NarrowChain(c)), TopK(keys, 5, std::less<int64_t>()));
+          Collect(NarrowChain(c, step)), TopK(keys, 5, std::less<int64_t>()));
     };
-    const auto expected = run(&off);
-    EXPECT_EQ(expected, run(&erased)) << "regime " << regime;
-    EXPECT_EQ(expected, run(&fused)) << "regime " << regime;
-    ExpectSameMetrics(off.metrics(), erased.metrics());
-    ExpectSameMetrics(off.metrics(), fused.metrics());
+    const auto expected = run(&forced, ForceEach{});
+    EXPECT_EQ(expected, run(&sliced, SliceToBag{})) << "regime " << regime;
+    EXPECT_EQ(expected, run(&chained, KeepChain{})) << "regime " << regime;
+    ExpectSameMetrics(forced.metrics(), sliced.metrics());
+    ExpectSameMetrics(forced.metrics(), chained.metrics());
   }
 }
 
 // Suite level: the full operator program, the fault program, and the
-// recovery program must be outcome- and metric-identical across fusion arms.
+// recovery program must be outcome- and metric-identical in every spelling.
+
+void ExpectSpellingsAgree(const ClusterConfig& cfg) {
+  SuiteOutcome forced = RunSuite(cfg, ForceEach{});
+  ExpectSameOutcome(forced, RunSuite(cfg, SliceToBag{}));
+  ExpectSameOutcome(forced, RunSuite(cfg, KeepChain{}));
+}
 
 TEST(FusionDeterminismTest, FusionDoesNotPerturbSuiteResultsOrCostModel) {
-  SuiteOutcome eager = RunSuite(WithFusion(Config(true), false));
-  ASSERT_TRUE(eager.ok);
-  EXPECT_GT(eager.count, 0);
-  for (bool static_feeds : {false, true}) {
-    SuiteOutcome fused = RunSuite(
-        WithStaticFeeds(WithFusion(Config(true), true), static_feeds));
-    ExpectSameOutcome(eager, fused);
-  }
+  SuiteOutcome forced = RunSuite(Config(true), ForceEach{});
+  ASSERT_TRUE(forced.ok);
+  EXPECT_GT(forced.count, 0);
+  ExpectSpellingsAgree(Config(true));
 }
 
 TEST(FusionDeterminismTest, FusionDoesNotPerturbFaultInjection) {
-  SuiteOutcome eager = RunSuite(WithFaults(WithFusion(Config(true), false)));
-  ASSERT_TRUE(eager.ok);
-  EXPECT_GT(eager.metrics.failed_tasks, 0);
-  for (bool static_feeds : {false, true}) {
-    SuiteOutcome fused = RunSuite(WithFaults(
-        WithStaticFeeds(WithFusion(Config(true), true), static_feeds)));
-    ExpectSameOutcome(eager, fused);
-  }
+  SuiteOutcome forced = RunSuite(WithFaults(Config(true)), ForceEach{});
+  ASSERT_TRUE(forced.ok);
+  EXPECT_GT(forced.metrics.failed_tasks, 0);
+  ExpectSpellingsAgree(WithFaults(Config(true)));
 }
 
 TEST(FusionDeterminismTest, FusionDoesNotPerturbRecoveryFeatures) {
-  SuiteOutcome eager = RunSuite(WithRecovery(WithFusion(Config(true), false)));
-  ASSERT_TRUE(eager.ok);
-  EXPECT_EQ(eager.metrics.machines_lost, 1);
-  EXPECT_GT(eager.metrics.checkpoints_written, 0);
-  for (bool static_feeds : {false, true}) {
-    SuiteOutcome fused = RunSuite(WithRecovery(
-        WithStaticFeeds(WithFusion(Config(true), true), static_feeds)));
-    ExpectSameOutcome(eager, fused);
-  }
+  SuiteOutcome forced = RunSuite(WithRecovery(Config(true)), ForceEach{});
+  ASSERT_TRUE(forced.ok);
+  EXPECT_EQ(forced.metrics.machines_lost, 1);
+  EXPECT_GT(forced.metrics.checkpoints_written, 0);
+  ExpectSpellingsAgree(WithRecovery(Config(true)));
 }
 
 /// Exported trace of a narrow-chain + wide-op + action program (the obs
 /// suite's byte-identity pattern).
-std::string FusionTraceFor(ClusterConfig cfg) {
+template <typename Step>
+std::string FusionTraceFor(ClusterConfig cfg, const Step& step) {
   Cluster c(cfg);
   obs::TraceRecorder rec;
   rec.SetRunNameHint("fusion-suite");
   c.set_trace(&rec);
-  auto chain = NarrowChain(&c);
+  auto chain = NarrowChain(&c, step);
   auto reduced = ReduceByKey(
       chain, [](int64_t a, int64_t b) { return a + b; }, 8);
   (void)Count(reduced);
-  (void)Collect(Keys(chain));
+  (void)Collect(step(Keys(chain)));
   EXPECT_TRUE(c.ok());
   return obs::ChromeTraceToString(rec);
 }
 
 TEST(FusionDeterminismTest, TraceIsByteIdenticalAcrossFusionArms) {
   for (int regime = 0; regime < 3; ++regime) {
-    ClusterConfig base = Config(true);
-    if (regime == 1) base = WithFaults(base);
-    if (regime == 2) base = WithRecovery(base);
-    const std::string eager = FusionTraceFor(WithFusion(base, false));
-    EXPECT_EQ(eager, FusionTraceFor(WithStaticFeeds(WithFusion(base, true),
-                                                    false)))
-        << "regime " << regime;
-    EXPECT_EQ(eager,
-              FusionTraceFor(WithStaticFeeds(WithFusion(base, true), true)))
-        << "regime " << regime;
+    ClusterConfig cfg = Config(true);
+    if (regime == 1) cfg = WithFaults(cfg);
+    if (regime == 2) cfg = WithRecovery(cfg);
+    const std::string forced = FusionTraceFor(cfg, ForceEach{});
+    EXPECT_EQ(forced, FusionTraceFor(cfg, SliceToBag{})) << "regime " << regime;
+    EXPECT_EQ(forced, FusionTraceFor(cfg, KeepChain{})) << "regime " << regime;
   }
 }
 

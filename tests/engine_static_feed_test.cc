@@ -1,19 +1,13 @@
-// The static feed representation (engine/fused_feed.h) and its process-wide
-// switches: strict MATRYOSHKA_FUSION / MATRYOSHKA_STATIC_FEEDS parsing, the
-// forced boundaries (inexact counts, depth cap) under static chains, the
-// sibling-memoization re-rooting contract, and a compile guard that the
-// narrow-op path stays usable for move-only (non-spillable) element types.
-//
-// Bit-identity of the static arm against the type-erased and eager arms is
-// locked by engine_parallel_determinism_test; this file covers the
-// representation-specific mechanics those A/B sweeps cannot observe.
+// Mechanics of the fused narrow-op chains (engine/fused_feed.h) that the
+// bit-identity sweeps in engine_parallel_determinism_test cannot observe:
+// chains stay pending until forced, the forced boundaries (inexact counts,
+// the kMaxChainDepth cap), the sibling-memoization re-rooting contract, and
+// a compile guard that the narrow-op path stays usable for move-only
+// (non-spillable) element types.
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
-#include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,38 +34,11 @@ inline std::size_t EstimateSize(const MoveOnlyElem&) {
 
 namespace {
 
-/// Sets an environment variable for the enclosing scope and restores the
-/// previous value (or unsets) on destruction, so tests stay hermetic even
-/// when scripts/check.sh runs the binary with the A/B switches exported.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) prev_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, /*overwrite=*/1);
-    }
-  }
-  ~ScopedEnv() {
-    if (prev_.has_value()) {
-      ::setenv(name_, prev_->c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> prev_;
-};
-
 ClusterConfig SerialConfig() {
   ClusterConfig cfg;
   cfg.num_machines = 2;
   cfg.cores_per_machine = 2;
   cfg.default_parallelism = 4;
-  cfg.fusion.enabled = true;
   return cfg;
 }
 
@@ -81,62 +48,9 @@ Bag<std::pair<int64_t, int64_t>> MakePairs(Cluster* c) {
   return Parallelize(c, std::move(data), 4);
 }
 
-// --- Strict "0"/"1" parsing of the process-wide A/B switches ---------------
-
-TEST(BinaryEnvOverrideTest, ExactZeroAndOneAreHonored) {
-  {
-    ScopedEnv fusion("MATRYOSHKA_FUSION", "0");
-    ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", "1");
-    Cluster c(SerialConfig());
-    EXPECT_FALSE(c.config().fusion.enabled);
-    EXPECT_TRUE(c.config().fusion.static_feeds);
-  }
-  {
-    ScopedEnv fusion("MATRYOSHKA_FUSION", "1");
-    ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", "0");
-    ClusterConfig cfg = SerialConfig();
-    cfg.fusion.enabled = false;  // env must override the config either way
-    Cluster c(cfg);
-    EXPECT_TRUE(c.config().fusion.enabled);
-    EXPECT_FALSE(c.config().fusion.static_feeds);
-  }
-}
-
-TEST(BinaryEnvOverrideTest, UnsetKeepsConfiguredDefaults) {
-  ScopedEnv fusion("MATRYOSHKA_FUSION", nullptr);
-  ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", nullptr);
-  Cluster c(SerialConfig());
-  EXPECT_TRUE(c.config().fusion.enabled);
-  EXPECT_TRUE(c.config().fusion.static_feeds);
-}
-
-#if defined(GTEST_HAS_DEATH_TEST)
-TEST(BinaryEnvOverrideDeathTest, JunkFusionValueFailsLoudly) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  for (const char* junk : {"", "2", "01", "true", "yes", " 1"}) {
-    ScopedEnv fusion("MATRYOSHKA_FUSION", junk);
-    EXPECT_DEATH({ Cluster c(SerialConfig()); },
-                 "MATRYOSHKA_FUSION.*not a valid binary override")
-        << "value '" << junk << "'";
-  }
-}
-
-TEST(BinaryEnvOverrideDeathTest, JunkStaticFeedsValueFailsLoudly) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  for (const char* junk : {"", "on", "10", "TRUE"}) {
-    ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", junk);
-    EXPECT_DEATH({ Cluster c(SerialConfig()); },
-                 "MATRYOSHKA_STATIC_FEEDS.*not a valid binary override")
-        << "value '" << junk << "'";
-  }
-}
-#endif  // GTEST_HAS_DEATH_TEST
-
-// --- Forced boundaries under the static representation ---------------------
+// --- Pending chains and their forced boundaries -----------------------------
 
 TEST(StaticFeedTest, ChainOfNarrowOpsStaysPendingUntilForced) {
-  ScopedEnv fusion("MATRYOSHKA_FUSION", "1");
-  ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", "1");
   Cluster c(SerialConfig());
   auto s1 = Map(MakePairs(&c), [](const std::pair<int64_t, int64_t>& p) {
     return std::pair<int64_t, int64_t>(p.first, p.second + 1);
@@ -149,30 +63,25 @@ TEST(StaticFeedTest, ChainOfNarrowOpsStaysPendingUntilForced) {
   EXPECT_TRUE(s4.pending());
   EXPECT_EQ(s4.pending_chain_ops(), 4);
 
-  {
-    // Env is latched at Cluster construction, so the eager reference needs
-    // its own cluster built under MATRYOSHKA_FUSION=0.
-    ScopedEnv off("MATRYOSHKA_FUSION", "0");
-    Cluster rebuilt(SerialConfig());
-    auto e4 = MapValues(
-        Map(MapValues(Map(MakePairs(&rebuilt),
-                          [](const std::pair<int64_t, int64_t>& p) {
-                            return std::pair<int64_t, int64_t>(p.first,
-                                                               p.second + 1);
-                          }),
-                      [](int64_t v) { return v * 3; }),
-            [](const std::pair<int64_t, int64_t>& p) {
-              return std::pair<int64_t, int64_t>(p.first ^ 1, p.second);
-            }),
-        [](int64_t v) { return v - 2; });
-    EXPECT_FALSE(e4.pending());
-    EXPECT_EQ(Collect(s4), Collect(e4));
-  }
+  // Reference: the same ops with every step forced (one pass per op).
+  Cluster eager(SerialConfig());
+  auto e1 = Map(MakePairs(&eager), [](const std::pair<int64_t, int64_t>& p) {
+    return std::pair<int64_t, int64_t>(p.first, p.second + 1);
+  });
+  e1.Force();
+  auto e2 = MapValues(e1, [](int64_t v) { return v * 3; });
+  e2.Force();
+  auto e3 = Map(e2, [](const std::pair<int64_t, int64_t>& p) {
+    return std::pair<int64_t, int64_t>(p.first ^ 1, p.second);
+  });
+  e3.Force();
+  auto e4 = MapValues(e3, [](int64_t v) { return v - 2; });
+  e4.Force();
+  EXPECT_FALSE(e4.pending());
+  EXPECT_EQ(Collect(s4), Collect(e4));
 }
 
 TEST(StaticFeedTest, InexactCountsForceABoundaryMidChain) {
-  ScopedEnv fusion("MATRYOSHKA_FUSION", "1");
-  ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", "1");
   Cluster c(SerialConfig());
   // FlatMap demotes the tracked counts to a bound, so the next narrow op
   // must materialize the chain and start fresh on the forced output.
@@ -191,36 +100,48 @@ TEST(StaticFeedTest, InexactCountsForceABoundaryMidChain) {
   EXPECT_TRUE(c.ok());
 }
 
+/// A namespace-scope UDF: a lambda inside AddOneTimes would name the whole
+/// chain type it extends, and the type names would double per op.
+struct AddOne {
+  int64_t operator()(int64_t v) const { return v + 1; }
+};
+
+/// `N` value increments, each extending the static chain held in `auto`.
+template <int N, typename B>
+auto AddOneTimes(const B& bag) {
+  auto next = MapValues(bag, AddOne{});
+  if constexpr (N == 1) {
+    return next;
+  } else {
+    return AddOneTimes<N - 1>(next);
+  }
+}
+
 TEST(StaticFeedTest, DepthCapForcesMidChainGracefully) {
-  ScopedEnv fusion("MATRYOSHKA_FUSION", "1");
-  ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", "1");
-  ClusterConfig cfg = SerialConfig();
-  cfg.fusion.max_chain_depth = 2;
-  Cluster c(cfg);
+  Cluster c(SerialConfig());
   // Literal auto chaining keeps extending the concrete FusedBag chain, so
   // the cap is enforced on the zero-erasure path itself.
-  auto s1 = Map(MakePairs(&c), [](const std::pair<int64_t, int64_t>& p) {
-    return std::pair<int64_t, int64_t>(p.first, p.second + 1);
-  });
-  auto s2 = MapValues(s1, [](int64_t v) { return v + 10; });
-  EXPECT_EQ(s2.pending_chain_ops(), 2);
-  auto s3 = MapValues(s2, [](int64_t v) { return v * 2; });
-  // s2 hit the cap: composing s3 forced it and started a fresh chain.
-  EXPECT_TRUE(s3.pending());
-  EXPECT_EQ(s3.pending_chain_ops(), 1);
-  std::vector<std::pair<int64_t, int64_t>> got = Collect(s3);
+  auto capped = AddOneTimes<kMaxChainDepth>(MakePairs(&c));
+  EXPECT_TRUE(capped.pending());
+  EXPECT_EQ(capped.pending_chain_ops(), kMaxChainDepth);
+  auto past = AddOneTimes<1>(capped);
+  // `capped` hit the cap: composing one more op forced it and started a
+  // fresh chain.
+  EXPECT_FALSE(capped.pending());
+  EXPECT_TRUE(past.pending());
+  EXPECT_EQ(past.pending_chain_ops(), 1);
+  std::vector<std::pair<int64_t, int64_t>> got = Collect(past);
   ASSERT_EQ(got.size(), 200u);
-  EXPECT_EQ(got.front().second, (0 + 1 + 10) * 2);
+  EXPECT_EQ(got.front().second, 0 + kMaxChainDepth + 1);
   EXPECT_TRUE(c.ok());
 }
 
 TEST(StaticFeedTest, SiblingForceMemoizesAndLaterOpsReuse) {
   // Once any handle of a shared pending chain forces it, later narrow ops
   // must re-root at the memoized partitions instead of re-running the
-  // chain's UDFs (the udf-call counter would double otherwise).
-  for (const char* static_arm : {"0", "1"}) {
-    ScopedEnv fusion("MATRYOSHKA_FUSION", "1");
-    ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", static_arm);
+  // chain's UDFs (the udf-call counter would double otherwise) — whether
+  // they extend the static handle or compose on a sliced Bag<T> of it.
+  for (bool sliced : {false, true}) {
     Cluster c(SerialConfig());
     auto calls = std::make_shared<int64_t>(0);
     auto mapped = Map(MakePairs(&c),
@@ -236,13 +157,16 @@ TEST(StaticFeedTest, SiblingForceMemoizesAndLaterOpsReuse) {
     // chain.
     Bag<std::pair<int64_t, int64_t>> sibling = mapped;
     sibling.Force();
-    EXPECT_EQ(*calls, 200) << "static=" << static_arm;
+    EXPECT_EQ(*calls, 200) << "sliced=" << sliced;
     EXPECT_TRUE(mapped.pending());
     EXPECT_TRUE(mapped.pending_materialized());
-    auto downstream = MapValues(mapped, [](int64_t v) { return v + 1; });
-    std::vector<std::pair<int64_t, int64_t>> got = Collect(downstream);
+    auto add_one = [](int64_t v) { return v + 1; };
+    const Bag<std::pair<int64_t, int64_t>> plain = mapped;
+    std::vector<std::pair<int64_t, int64_t>> got =
+        sliced ? Collect(MapValues(plain, add_one))
+               : Collect(MapValues(mapped, add_one));
     ASSERT_EQ(got.size(), 200u);
-    EXPECT_EQ(*calls, 200) << "static=" << static_arm
+    EXPECT_EQ(*calls, 200) << "sliced=" << sliced
                            << ": composing past a memoized chain re-ran it";
   }
 }
@@ -250,26 +174,25 @@ TEST(StaticFeedTest, SiblingForceMemoizesAndLaterOpsReuse) {
 // --- Compile guard: move-only, non-spillable element types ------------------
 
 TEST(StaticFeedTest, MoveOnlyElementsFlowThroughNarrowChains) {
-  for (const char* static_arm : {"0", "1"}) {
-    ScopedEnv fusion("MATRYOSHKA_FUSION", "1");
-    ScopedEnv feeds("MATRYOSHKA_STATIC_FEEDS", static_arm);
-    Cluster c(SerialConfig());
-    std::vector<MoveOnlyElem> data;
-    for (int64_t i = 0; i < 64; ++i) {
-      data.push_back(MoveOnlyElem{std::make_unique<int64_t>(i)});
-    }
-    auto bag = Parallelize(&c, std::move(data), 4);
-    auto bumped = Map(bag, [](const MoveOnlyElem& e) {
-      return MoveOnlyElem{std::make_unique<int64_t>(*e.v + 1)};
-    });
-    auto summed = Map(bumped, [](const MoveOnlyElem& e) { return *e.v; });
-    EXPECT_EQ(Count(summed), 64);
-    std::vector<int64_t> values = Collect(summed);
-    EXPECT_EQ(std::accumulate(values.begin(), values.end(), int64_t{0}),
-              64 * 65 / 2)
-        << "static=" << static_arm;
-    EXPECT_TRUE(c.ok());
+  Cluster c(SerialConfig());
+  std::vector<MoveOnlyElem> data;
+  for (int64_t i = 0; i < 64; ++i) {
+    data.push_back(MoveOnlyElem{std::make_unique<int64_t>(i)});
   }
+  auto bag = Parallelize(&c, std::move(data), 4);
+  auto bumped = Map(bag, [](const MoveOnlyElem& e) {
+    return MoveOnlyElem{std::make_unique<int64_t>(*e.v + 1)};
+  });
+  // One static extension and one composition across a sliced Bag<T>.
+  auto summed = Map(bumped, [](const MoveOnlyElem& e) { return *e.v; });
+  const Bag<MoveOnlyElem> sliced = bumped;
+  auto resliced = Map(sliced, [](const MoveOnlyElem& e) { return *e.v; });
+  EXPECT_EQ(Count(summed), 64);
+  std::vector<int64_t> values = Collect(summed);
+  EXPECT_EQ(std::accumulate(values.begin(), values.end(), int64_t{0}),
+            64 * 65 / 2);
+  EXPECT_EQ(Collect(resliced), values);
+  EXPECT_TRUE(c.ok());
 }
 
 }  // namespace

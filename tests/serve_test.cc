@@ -9,8 +9,8 @@
 //  - Fairness: queued requests drain round-robin across tenants.
 //  - THE ISOLATION CONTRACT: a request executed concurrently under load is
 //    bit-identical — data, partition order, key_partitions, full Metrics,
-//    exported trace — to the same request executed alone. Checked clean,
-//    under an active FaultPlan, and with fusion on/off.
+//    exported trace — to the same request executed alone. Checked clean
+//    and under an active FaultPlan.
 //  - Memo cache: a hit is byte-identical to a recompute, hit/miss/eviction
 //    counters are exact, a disabled cache leaves the engine byte-identical,
 //    and per-request responses never carry cache counters.
@@ -27,11 +27,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -65,31 +63,6 @@ using engine::Metrics;
 
 // --- shared fixtures -------------------------------------------------------
 
-/// RAII environment override/neutralizer (engine knobs are read at Cluster
-/// construction, which for serving happens per request on worker threads).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) prev_ = old;
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, /*overwrite=*/1);
-    }
-  }
-  ~ScopedEnv() {
-    if (prev_.has_value()) {
-      ::setenv(name_, prev_->c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> prev_;
-};
-
 ClusterConfig EngineConfig() {
   ClusterConfig cfg;
   cfg.num_machines = 4;
@@ -105,11 +78,6 @@ ClusterConfig WithFaults(ClusterConfig cfg) {
   cfg.faults.straggler_fraction = 0.1;
   cfg.faults.straggler_slowdown = 4.0;
   cfg.faults.speculative_execution = true;
-  return cfg;
-}
-
-ClusterConfig WithFusion(ClusterConfig cfg, bool enabled) {
-  cfg.fusion.enabled = enabled;
   return cfg;
 }
 
@@ -659,14 +627,6 @@ TEST(ServingDeterminismTest, ConcurrentMatchesSerialUnderFaults) {
   CheckConcurrentVsSerialBitIdentity(WithFaults(EngineConfig()));
 }
 
-TEST(ServingDeterminismTest, ConcurrentMatchesSerialFusionOn) {
-  CheckConcurrentVsSerialBitIdentity(WithFusion(EngineConfig(), true));
-}
-
-TEST(ServingDeterminismTest, ConcurrentMatchesSerialFusionOff) {
-  CheckConcurrentVsSerialBitIdentity(WithFusion(EngineConfig(), false));
-}
-
 // --- memo cache ------------------------------------------------------------
 
 TEST(ServingCacheTest, HitIsByteIdenticalToRecompute) {
@@ -838,34 +798,42 @@ TEST(ServingCacheTest, ConcurrentIdenticalRequestsStayCoherent) {
 /// all reach zero — registered exactly like any one-shot plan. The loop is
 /// an engine::Iterate on the request's own cluster, with the convergence
 /// test (a fused AnyMatch) evaluated in-engine, so the serving layer needs
-/// no special casing for iterative programs: the iteration arm comes from
-/// the driver's cluster template like every other engine knob.
-PlanSpec HalveUntilZeroSpec() {
+/// no special casing for iterative programs. `driver_loop` spells the same
+/// loop out as per-iteration driver round-trips (NotEmpty(Filter(..))).
+PlanSpec HalveUntilZeroSpec(bool driver_loop = false) {
+  using Pair = std::pair<int64_t, int64_t>;
   PlanSpec spec;
-  spec.name = "halve_until_zero";
+  spec.name = driver_loop ? "halve_until_zero_driver" : "halve_until_zero";
   spec.description = "iterative halving until fixpoint";
-  spec.body = [](engine::Cluster* c, const PlanParams& params) {
+  spec.body = [driver_loop](engine::Cluster* c, const PlanParams& params) {
     const int64_t rows = params.GetInt("rows", 512);
-    std::vector<std::pair<int64_t, int64_t>> kv;
+    std::vector<Pair> kv;
     kv.reserve(static_cast<std::size_t>(rows));
     for (int64_t i = 0; i < rows; ++i) kv.emplace_back(i % 16, i);
     auto state0 = engine::Parallelize(c, std::move(kv), 8);
+    auto halve = [](const engine::Bag<Pair>& s) -> engine::Bag<Pair> {
+      return engine::Map(s, [](const Pair& p) {
+        return Pair(p.first, p.second / 2);
+      });
+    };
+    auto positive = [](const Pair& p) { return p.second > 0; };
+    constexpr int64_t kMaxIterations = 64;
+    if (driver_loop) {
+      engine::Bag<Pair> state = state0;
+      for (int64_t i = 0; i < kMaxIterations; ++i) {
+        state = halve(state);
+        if (!engine::NotEmpty(engine::Filter(state, positive))) break;
+      }
+      return CollectOutput(state);
+    }
     engine::IterateOptions options;
-    options.max_iterations = 64;
+    options.max_iterations = kMaxIterations;
     options.label = "halve-until-zero";
     auto fixpoint = engine::Iterate(
         c, state0,
-        [](engine::Bag<std::pair<int64_t, int64_t>> s, int64_t) {
-          return engine::Map(s, [](const std::pair<int64_t, int64_t>& p) {
-            return std::pair<int64_t, int64_t>(p.first, p.second / 2);
-          });
-        },
-        [](engine::Bag<std::pair<int64_t, int64_t>>* s, int64_t) {
-          return !engine::AnyMatch(
-              *s,
-              [](const std::pair<int64_t, int64_t>& p) {
-                return p.second > 0;
-              });
+        [&](engine::Bag<Pair> s, int64_t) { return halve(s); },
+        [&](engine::Bag<Pair>* s, int64_t) {
+          return !engine::AnyMatch(*s, positive);
         },
         options);
     return CollectOutput(fixpoint);
@@ -875,22 +843,19 @@ PlanSpec HalveUntilZeroSpec() {
 
 TEST(ServingIterativePlanTest, KnobArmsServeBitIdenticalResponses) {
   // The native-iteration contract extends through the serving layer: the
-  // same iterative plan served from a native-loop template and from a
-  // legacy driver-loop template must return bit-identical responses (data,
+  // same iterative plan served as an engine::Iterate loop and as a
+  // hand-written driver loop must return bit-identical responses (data,
   // partition order, key_partitions, full simulated Metrics). This is also
-  // why the memo-cache key does not need an iteration-arm leg.
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
+  // why the memo-cache key needs no leg for how a plan's loops execute.
   ServeResponse arms[2];
-  for (bool native : {false, true}) {
+  for (bool driver_loop : {true, false}) {
     PlanRegistry registry;
-    ASSERT_TRUE(registry.Register(HalveUntilZeroSpec()).ok());
-    ClusterConfig engine_cfg = EngineConfig();
-    engine_cfg.iteration.native = native;
-    ServingDriver driver(&registry, BaseServing(engine_cfg));
+    ASSERT_TRUE(registry.Register(HalveUntilZeroSpec(driver_loop)).ok());
+    ServingDriver driver(&registry, BaseServing(EngineConfig()));
     ServeRequest req;
-    req.plan = "halve_until_zero";
+    req.plan = HalveUntilZeroSpec(driver_loop).name;
     req.params.Set("rows", lang::Value(int64_t{512}));
-    arms[native ? 1 : 0] = driver.Execute(req);
+    arms[driver_loop ? 0 : 1] = driver.Execute(req);
   }
   ASSERT_TRUE(arms[0].status.ok()) << arms[0].status.message();
   ASSERT_TRUE(arms[1].status.ok()) << arms[1].status.message();
@@ -904,7 +869,6 @@ TEST(ServingIterativePlanTest, KnobArmsServeBitIdenticalResponses) {
 }
 
 TEST(ServingIterativePlanTest, IterativePlanIsCacheableAcrossRequests) {
-  ScopedEnv neutral("MATRYOSHKA_NATIVE_ITER", nullptr);
   PlanRegistry registry;
   ASSERT_TRUE(registry.Register(HalveUntilZeroSpec()).ok());
   ServingConfig cfg = BaseServing(EngineConfig());
@@ -927,7 +891,6 @@ TEST(ServingIterativePlanTest, IterativePlanIsCacheableAcrossRequests) {
 TEST(ServingForceContractTest, OffThreadForceOnPendingBagDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ClusterConfig cfg;  // serial engine: the death is about threads, not pools
-  cfg.fusion.enabled = true;
   engine::Cluster cluster(cfg);
   auto bag = engine::Parallelize(&cluster, std::vector<int64_t>{1, 2, 3}, 2);
   auto pending = engine::Map(bag, [](int64_t x) { return x * 2; });
@@ -944,7 +907,6 @@ TEST(ServingForceContractTest, OffThreadForceOnPendingBagDies) {
 
 TEST(ServingForceContractTest, BindDriverThreadHandsTheClusterOver) {
   ClusterConfig cfg;
-  cfg.fusion.enabled = true;
   engine::Cluster cluster(cfg);
   auto bag = engine::Parallelize(&cluster, std::vector<int64_t>{1, 2, 3}, 2);
   auto pending = engine::Map(bag, [](int64_t x) { return x * 2; });
@@ -966,7 +928,6 @@ TEST(ServingForceContractTest, MaterializedBagsForceAnywhere) {
   // A no-op Force (nothing pending) is legal from any thread: serving
   // workers hold materialized bags without owning the cluster.
   ClusterConfig cfg;
-  cfg.fusion.enabled = true;
   engine::Cluster cluster(cfg);
   auto bag = engine::Parallelize(&cluster, std::vector<int64_t>{1, 2, 3}, 2);
   auto mapped = engine::Map(bag, [](int64_t x) { return x + 1; });
