@@ -137,7 +137,9 @@ for run in doc["runs"]:
     assert wall["elements_per_s"] > 0, name
 assert arms == {"pool0", "pool1"}, arms
 assert budget_arms == {"unbounded", "bounded4mb"}, budget_arms
-assert {"chain", "iteration"} <= families, families
+# The rows that guard the keyed builds must not drop out silently.
+assert {"chain", "iteration", "reduceByKey", "groupByKey", "distinct",
+        "repartitionJoin", "broadcastJoin"} <= families, families
 print("ok:", sys.argv[1], f"({len(doc['runs'])} runs validated)")
 EOF
   # The parallel kernel must also be clean under ThreadSanitizer.

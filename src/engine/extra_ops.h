@@ -3,11 +3,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
+#include <functional>
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "engine/bag.h"
 #include "engine/join.h"
 #include "engine/ops.h"
@@ -49,25 +48,18 @@ Bag<T> Subtract(const Bag<T>& a, const Bag<T>& b,
   Cluster* c = a.cluster();
   if (!c->ok()) return Bag<T>(c);
   const int64_t parts = internal::ResolveParallelism(c, num_partitions);
-  auto as = internal::ShuffleBy(
-      a, parts, [&](const T& x) { return internal::PartitionOfKey(x, parts); },
-      0.25, "subtract[left]");
-  auto bs = internal::ShuffleBy(
-      b, parts, [&](const T& x) { return internal::PartitionOfKey(x, parts); },
-      0.25, "subtract[right]");
-  std::vector<double> costs(static_cast<std::size_t>(parts));
-  for (int64_t i = 0; i < parts; ++i) {
-    costs[static_cast<std::size_t>(i)] =
-        c->ComputeCost(static_cast<double>(as[i].size()) * a.scale() +
-                           static_cast<double>(bs[i].size()) * b.scale(),
-                       0.5);
-  }
-  c->AccrueStage(costs, /*lineage_depth=*/1, StageContext{"subtract"});
+  auto as = internal::ShuffleBy(a, parts, std::identity{}, "subtract[left]");
+  auto bs = internal::ShuffleBy(b, parts, std::identity{}, "subtract[right]");
+  c->AccrueStage(internal::CoPartitionCosts(c, as, a.scale(), bs, b.scale(),
+                                             0.5),
+                 /*lineage_depth=*/1, StageContext{"subtract"});
   typename Bag<T>::Partitions out(static_cast<std::size_t>(parts));
   internal::GuardedParallelFor(c, static_cast<std::size_t>(parts), [&](std::size_t i) {
-    std::unordered_set<T, Hasher> exclude(bs[i].begin(), bs[i].end());
+    external::KeyedTable<T, external::NoValue> exclude;
+    exclude.reserve(bs[i].size());
+    for (const auto& x : bs[i]) exclude.FindOrInsert(x);
     for (const auto& x : as[i]) {
-      if (!exclude.count(x)) out[i].push_back(x);
+      if (exclude.Find(x) == exclude.kAbsent) out[i].push_back(x);
     }
   });
   return Bag<T>(c, std::move(out), a.scale());
@@ -82,26 +74,24 @@ Bag<T> Intersection(const Bag<T>& a, const Bag<T>& b,
   Cluster* c = a.cluster();
   if (!c->ok()) return Bag<T>(c);
   const int64_t parts = internal::ResolveParallelism(c, num_partitions);
-  auto as = internal::ShuffleBy(
-      a, parts, [&](const T& x) { return internal::PartitionOfKey(x, parts); },
-      0.25, "intersection[left]");
-  auto bs = internal::ShuffleBy(
-      b, parts, [&](const T& x) { return internal::PartitionOfKey(x, parts); },
-      0.25, "intersection[right]");
-  std::vector<double> costs(static_cast<std::size_t>(parts));
-  for (int64_t i = 0; i < parts; ++i) {
-    costs[static_cast<std::size_t>(i)] =
-        c->ComputeCost(static_cast<double>(as[i].size()) * a.scale() +
-                           static_cast<double>(bs[i].size()) * b.scale(),
-                       0.5);
-  }
-  c->AccrueStage(costs, /*lineage_depth=*/1, StageContext{"intersection"});
+  auto as =
+      internal::ShuffleBy(a, parts, std::identity{}, "intersection[left]");
+  auto bs =
+      internal::ShuffleBy(b, parts, std::identity{}, "intersection[right]");
+  c->AccrueStage(internal::CoPartitionCosts(c, as, a.scale(), bs, b.scale(),
+                                             0.5),
+                 /*lineage_depth=*/1, StageContext{"intersection"});
   typename Bag<T>::Partitions out(static_cast<std::size_t>(parts));
   internal::GuardedParallelFor(c, static_cast<std::size_t>(parts), [&](std::size_t i) {
-    std::unordered_set<T, Hasher> right(bs[i].begin(), bs[i].end());
-    std::unordered_set<T, Hasher> seen;
+    // Right-side elements, each flagged once emitted.
+    external::KeyedTable<T, bool> right;
+    right.reserve(bs[i].size());
+    for (const auto& x : bs[i]) right.FindOrInsert(x);
     for (const auto& x : as[i]) {
-      if (right.count(x) && seen.insert(x).second) out[i].push_back(x);
+      const std::size_t slot = right.Find(x);
+      if (slot == right.kAbsent || right.value(slot)) continue;
+      right.value(slot) = true;
+      out[i].push_back(x);
     }
   });
   return Bag<T>(c, std::move(out), std::min(a.scale(), b.scale()));
@@ -118,26 +108,34 @@ Bag<std::pair<K, A>> AggregateByKey(const Bag<std::pair<K, V>>& bag, A zero,
                                     int64_t num_partitions = -1,
                                     double weight = 1.0,
                                     double result_scale = -1.0) {
-  // Absorb values into accumulators map-side — emitting keys in
-  // first-occurrence order, the canonical keyed-build order (see
-  // external/external_group.h) — then merge accumulators with an ordinary
-  // (budget-aware) ReduceByKey.
-  auto partials = MapPartitions(
-      bag,
-      [zero, seq](const std::vector<std::pair<K, V>>& part) {
-        std::unordered_map<K, std::size_t, Hasher> index;
-        index.reserve(part.size());
-        std::vector<std::pair<K, A>> out;
-        for (const auto& [k, v] : part) {
-          auto [it, inserted] = index.try_emplace(k, out.size());
-          if (inserted) out.emplace_back(k, zero);
-          A& acc = out[it->second].second;
-          acc = seq(acc, v);
-        }
-        return out;
+  using KA = std::pair<K, A>;
+  Cluster* c = bag.cluster();
+  if (!c->ok()) return Bag<KA>(c);
+  // Map side: fold values into accumulators per partition with `seq`, in
+  // stream order, through the budgeted keyed build; charged as the
+  // whole-partition pass it is (forcing point, scan stage, lineage + 1).
+  // The partials then merge with an ordinary ReduceByKey.
+  bag.Force();
+  internal::ChargeScanStage(bag, weight, "aggregateByKey[seq]");
+  const auto& in = bag.partitions();
+  auto absorb = [&seq](A& acc, V&& v) { acc = seq(acc, v); };
+  auto partials = internal::KeyedBuild<K, V>(
+      c, in.size(),
+      [&zero, &absorb](V&& v) {
+        A acc = zero;
+        absorb(acc, std::move(v));
+        return acc;
       },
-      weight);
-  return ReduceByKey(partials, comb, num_partitions, weight, result_scale);
+      absorb, [](const V&) { return std::size_t{0}; },
+      [&in](std::size_t i, auto& agg) {
+        for (const auto& [k, v] : in[i]) agg.Feed(k, v);
+      },
+      "aggregateByKey[seq]");
+  if (!c->ok()) return Bag<KA>(c);
+  return ReduceByKey(
+      internal::MaybeAutoCheckpoint(Bag<KA>(c, std::move(partials), bag.scale(),
+                                            0, bag.lineage_depth() + 1)),
+      comb, num_partitions, weight, result_scale);
 }
 
 /// The k smallest elements under `cmp` (an action; k is expected to be

@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "engine/bag.h"
 #include "engine/shuffle.h"
 
@@ -45,10 +45,43 @@ typename Bag<std::pair<K, V>>::Partitions JoinSide(
     ChargeScanStage(side, 0.25, label);
     return side.partitions();
   }
-  return ShuffleBy(
-      side, parts,
-      [&](const std::pair<K, V>& x) { return PartitionOfKey(x.first, parts); },
-      0.25, label);
+  return ShuffleBy(side, parts, PairKey{}, label);
+}
+
+/// A hash join's build side over `right`: each key's values, in arrival
+/// order. Built in memory, unbudgeted; only the join's scatters spill.
+template <typename K, typename W>
+external::KeyedTable<K, std::vector<W>> BuildJoinTable(
+    std::span<const std::vector<std::pair<K, W>>> right) {
+  external::KeyedTable<K, std::vector<W>> table;
+  std::size_t n = 0;
+  for (const auto& part : right) n += part.size();
+  table.reserve(n);
+  for (const auto& part : right) {
+    for (const auto& [k, w] : part) {
+      table.value(table.FindOrInsert(k).first).push_back(w);
+    }
+  }
+  return table;
+}
+
+/// Probes one left partition: each left element once per matching right
+/// value, in left order, then right arrival order. With R =
+/// std::optional<W> (the outer join), a miss emits it once with nullopt.
+template <typename K, typename V, typename W, typename R>
+void Probe(const external::KeyedTable<K, std::vector<W>>& table,
+           const std::vector<std::pair<K, V>>& left,
+           std::vector<std::pair<K, std::pair<V, R>>>* out) {
+  for (const auto& [k, v] : left) {
+    const std::size_t slot = table.Find(k);
+    if (slot != table.kAbsent) {
+      for (const auto& w : table.value(slot)) {
+        out->emplace_back(k, std::pair<V, R>(v, w));
+      }
+    } else if constexpr (!std::is_same_v<R, W>) {
+      out->emplace_back(k, std::pair<V, R>(v, std::nullopt));
+    }
+  }
 }
 
 }  // namespace internal
@@ -77,31 +110,15 @@ Bag<std::pair<K, std::pair<V, W>>> RepartitionJoin(
       RealBagBytes(right) / static_cast<double>(c->planning_machines());
   const double spill = c->SpillFactor(build_bytes);
 
-  std::vector<double> costs(static_cast<std::size_t>(parts));
-  for (int64_t i = 0; i < parts; ++i) {
-    costs[static_cast<std::size_t>(i)] =
-        spill * c->ComputeCost(static_cast<double>(ls[i].size()) *
-                                       left.scale() +
-                                   static_cast<double>(rs[i].size()) *
-                                       right.scale(),
-                               1.0);
-  }
-  c->AccrueStage(costs, /*lineage_depth=*/1,
-                 StageContext{"repartitionJoin", spill});
+  c->AccrueStage(internal::CoPartitionCosts(c, ls, left.scale(), rs,
+                                             right.scale(), 1.0, spill),
+                 /*lineage_depth=*/1, StageContext{"repartitionJoin", spill});
 
   typename Bag<Out>::Partitions out(static_cast<std::size_t>(parts));
   internal::GuardedParallelFor(
       c, static_cast<std::size_t>(parts), [&](std::size_t i) {
-        std::unordered_map<K, std::vector<W>, Hasher> build;
-        build.reserve(rs[i].size());
-        for (const auto& [k, w] : rs[i]) build[k].push_back(w);
-        for (const auto& [k, v] : ls[i]) {
-          auto it = build.find(k);
-          if (it == build.end()) continue;
-          for (const auto& w : it->second) {
-            out[i].emplace_back(k, std::pair<V, W>(v, w));
-          }
-        }
+        internal::Probe(internal::BuildJoinTable<K, W>({&rs[i], 1}), ls[i],
+                        &out[i]);
       });
   return Bag<Out>(c, std::move(out), out_scale, parts);
 }
@@ -153,13 +170,9 @@ Bag<std::pair<K, std::pair<V, W>>> BroadcastJoin(
   }
 
   // The broadcast build table stays single-threaded: it is one global hash
-  // map over the (small by contract) right side; per-partition probe work
+  // table over the (small by contract) right side; per-partition probe work
   // below is where the real time goes, and that runs on the pool.
-  std::unordered_map<K, std::vector<W>, Hasher> build;
-  build.reserve(static_cast<std::size_t>(right.Size()));
-  for (const auto& part : right.partitions()) {
-    for (const auto& [k, w] : part) build[k].push_back(w);
-  }
+  const auto build = internal::BuildJoinTable<K, W>(right.partitions());
   // Every probe task pays for building its hash table over the broadcast
   // data (Spark deserializes the broadcast per executor): charge the probe
   // scan plus a per-task build of right.RealSize() elements.
@@ -174,13 +187,7 @@ Bag<std::pair<K, std::pair<V, W>>> BroadcastJoin(
   }
   typename Bag<Out>::Partitions out(left.partitions().size());
   internal::GuardedParallelFor(c, left.partitions().size(), [&](std::size_t i) {
-    for (const auto& [k, v] : left.partitions()[i]) {
-      auto it = build.find(k);
-      if (it == build.end()) continue;
-      for (const auto& w : it->second) {
-        out[i].emplace_back(k, std::pair<V, W>(v, w));
-      }
-    }
+    internal::Probe(build, left.partitions()[i], &out[i]);
   });
   // A broadcast join is map-side: the left layout (and partitioner) stays,
   // and so does the left lineage chain (no stage boundary).
@@ -209,32 +216,15 @@ Bag<std::pair<K, std::pair<V, std::optional<W>>>> LeftOuterJoin(
 
   auto ls = internal::JoinSide(left, parts, "leftOuterJoin[left]");
   auto rs = internal::JoinSide(right, parts, "leftOuterJoin[right]");
-  std::vector<double> costs(static_cast<std::size_t>(parts));
-  for (int64_t i = 0; i < parts; ++i) {
-    costs[static_cast<std::size_t>(i)] = c->ComputeCost(
-        static_cast<double>(ls[i].size()) * left.scale() +
-            static_cast<double>(rs[i].size()) * right.scale(),
-        1.0);
-  }
-  c->AccrueStage(costs, /*lineage_depth=*/1, StageContext{"leftOuterJoin"});
+  c->AccrueStage(internal::CoPartitionCosts(c, ls, left.scale(), rs,
+                                             right.scale(), 1.0),
+                 /*lineage_depth=*/1, StageContext{"leftOuterJoin"});
 
   typename Bag<Out>::Partitions out(static_cast<std::size_t>(parts));
   internal::GuardedParallelFor(
       c, static_cast<std::size_t>(parts), [&](std::size_t i) {
-        std::unordered_map<K, std::vector<W>, Hasher> build;
-        build.reserve(rs[i].size());
-        for (const auto& [k, w] : rs[i]) build[k].push_back(w);
-        for (const auto& [k, v] : ls[i]) {
-          auto it = build.find(k);
-          if (it == build.end()) {
-            out[i].emplace_back(
-                k, std::pair<V, std::optional<W>>(v, std::nullopt));
-          } else {
-            for (const auto& w : it->second) {
-              out[i].emplace_back(k, std::pair<V, std::optional<W>>(v, w));
-            }
-          }
-        }
+        internal::Probe(internal::BuildJoinTable<K, W>({&rs[i], 1}), ls[i],
+                        &out[i]);
       });
   return Bag<Out>(c, std::move(out), out_scale, parts);
 }
@@ -258,86 +248,53 @@ Bag<std::pair<K, std::pair<std::vector<V>, std::vector<W>>>> CoGroup(
 
   auto ls = internal::JoinSide(left, parts, "cogroup[left]");
   auto rs = internal::JoinSide(right, parts, "cogroup[right]");
-  std::vector<double> costs(static_cast<std::size_t>(parts));
-  for (int64_t i = 0; i < parts; ++i) {
-    costs[static_cast<std::size_t>(i)] = c->ComputeCost(
-        static_cast<double>(ls[i].size()) * left.scale() +
-            static_cast<double>(rs[i].size()) * right.scale(),
-        0.5);
-  }
-  c->AccrueStage(costs, /*lineage_depth=*/1, StageContext{"cogroup"});
+  c->AccrueStage(internal::CoPartitionCosts(c, ls, left.scale(), rs,
+                                             right.scale(), 0.5),
+                 /*lineage_depth=*/1, StageContext{"cogroup"});
 
-  // Group build, parallel across co-partitions, emitting keys in
-  // first-occurrence order over the left-then-right element stream (the
-  // canonical keyed-build order; see external/external_group.h). Under a
-  // real memory budget, elements of non-admitted keys — wrapped as
-  // (optional<V>, optional<W>) so one stream carries both sides — spill and
-  // re-feed in later passes; group contents stay in exact arrival order for
-  // any budget. Per-partition maxima are reduced on the driver so the
-  // memory check is order-independent.
+  // Group build over one stream carrying both sides, left then right:
+  // elements wrapped as (optional<V>, optional<W>), so they spill as one.
   using Side = std::pair<std::optional<V>, std::optional<W>>;
   using Groups = std::pair<std::vector<V>, std::vector<W>>;
-  typename Bag<Out>::Partitions out(static_cast<std::size_t>(parts));
-  std::vector<double> max_bytes(static_cast<std::size_t>(parts), 0.0);
-  std::vector<external::SpillStats> spill_stats(
-      static_cast<std::size_t>(parts));
-  std::vector<Status> build_status(static_cast<std::size_t>(parts));
-  const std::size_t quota =
-      internal::WorkerQuota(c, static_cast<std::size_t>(parts));
-  internal::GuardedParallelFor(
-      c, static_cast<std::size_t>(parts), [&](std::size_t i) {
-    auto push = [](Groups& g, Side&& s) {
-      if (s.first.has_value()) {
-        g.first.push_back(std::move(*s.first));
-      } else {
-        g.second.push_back(std::move(*s.second));
-      }
-    };
-    auto init = [&push](Side&& s) {
-      Groups g;
-      push(g, std::move(s));
-      return g;
-    };
-    auto growth = [](const Side& s) {
-      return s.first.has_value() ? EstimateSize(*s.first)
-                                 : EstimateSize(*s.second);
-    };
-    external::BoundedAggregator<K, Side, Groups, decltype(init),
-                                decltype(push), decltype(growth)>
-        agg(quota, init, push, growth, &spill_stats[i], c->failpoints(),
-            /*stream_id=*/i);
-    for (auto& [k, v] : ls[i]) {
-      agg.Feed(k, Side(std::move(v), std::nullopt));
+  auto push = [](Groups& g, Side&& s) {
+    if (s.first.has_value()) {
+      g.first.push_back(std::move(*s.first));
+    } else {
+      g.second.push_back(std::move(*s.second));
     }
-    for (auto& [k, w] : rs[i]) {
-      agg.Feed(k, Side(std::nullopt, std::move(w)));
-    }
-    out[i] = agg.Finish();
-    build_status[i] = agg.status();
-    for (const auto& [k, g] : out[i]) {
-      double bytes = static_cast<double>(sizeof(Out));
-      if (!g.first.empty()) {
-        bytes += EstimateSize(g.first.front()) *
-                 static_cast<double>(g.first.size()) * left.scale();
-      }
-      if (!g.second.empty()) {
-        bytes += EstimateSize(g.second.front()) *
-                 static_cast<double>(g.second.size()) * right.scale();
-      }
-      max_bytes[i] = std::max(max_bytes[i], bytes);
-    }
-  });
-  external::SpillStats group_spill;
-  for (const auto& s : spill_stats) group_spill.Add(s);
-  c->NoteRealSpill(group_spill, "cogroup");
-  for (const Status& st : build_status) {
-    if (!st.ok()) {
-      c->Fail(st);
-      return Bag<Out>(c);
+  };
+  auto out = internal::KeyedBuild<K, Side>(
+      c, static_cast<std::size_t>(parts),
+      [push](Side&& s) {
+        Groups g;
+        push(g, std::move(s));
+        return g;
+      },
+      push,
+      [](const Side& s) {
+        return s.first.has_value() ? EstimateSize(*s.first)
+                                   : EstimateSize(*s.second);
+      },
+      [&ls, &rs](std::size_t i, auto& agg) {
+        for (auto& [k, v] : ls[i]) {
+          agg.Feed(k, Side(std::move(v), std::nullopt));
+        }
+        for (auto& [k, w] : rs[i]) {
+          agg.Feed(k, Side(std::nullopt, std::move(w)));
+        }
+      },
+      "cogroup");
+  if (!c->ok()) return Bag<Out>(c);
+  double max_group_bytes = 0.0;
+  for (const auto& part : out) {
+    for (const auto& [k, g] : part) {
+      max_group_bytes = std::max(
+          max_group_bytes,
+          static_cast<double>(sizeof(Out)) +
+              internal::GroupBytes(g.first) * left.scale() +
+              internal::GroupBytes(g.second) * right.scale());
     }
   }
-  double max_group_bytes = 0.0;
-  for (double b : max_bytes) max_group_bytes = std::max(max_group_bytes, b);
   c->CheckTaskMemory(max_group_bytes, "cogroup");
   if (!c->ok()) return Bag<Out>(c);
   return Bag<Out>(c, std::move(out), out_scale, parts);

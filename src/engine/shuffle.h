@@ -3,7 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
+#include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -101,75 +102,44 @@ std::vector<std::vector<T>> BudgetedScatter(
   return ParallelScatter(c->pool(), inputs, num_parts, part_of);
 }
 
-/// Per-worker byte quota for a bounded phase of `workers` parallel tasks;
-/// SIZE_MAX (never spill) when unbounded.
-inline std::size_t WorkerQuota(Cluster* c, std::size_t workers) {
-  return c->real_budget().unbounded() ? static_cast<std::size_t>(-1)
-                                      : c->real_budget().ShareFor(workers);
-}
-
-/// The keyed-reduction build shared by ReduceByKey's three loops (narrow
-/// fast path, map-side combine, reduce-side merge): per input partition, an
-/// insertion-ordered aggregation emitting keys in FIRST-OCCURRENCE order
-/// (the canonical emission order of every keyed build, see
-/// external/external_group.h) that overflows raw elements of non-admitted
-/// keys to temp-file runs under the partition's static budget share. `f` is
-/// applied in exact element stream order per key for any budget.
-template <typename K, typename V, typename F>
-std::vector<std::vector<std::pair<K, V>>> ReduceBuild(
-    Cluster* c, const std::vector<std::vector<std::pair<K, V>>>& in,
-    const F& f, const char* label) {
-  std::vector<std::vector<std::pair<K, V>>> out(in.size());
-  std::vector<external::SpillStats> stats(in.size());
-  std::vector<Status> status(in.size());
-  const std::size_t quota = WorkerQuota(c, in.size());
-  GuardedParallelFor(c, in.size(), [&](std::size_t i) {
-    auto init = [](V&& v) { return std::move(v); };
-    auto absorb = [&f](V& acc, V&& v) { acc = f(acc, v); };
-    auto growth = [](const V&) { return std::size_t{0}; };
-    external::BoundedAggregator<K, V, V, decltype(init), decltype(absorb),
-                                decltype(growth)>
-        agg(quota, init, absorb, growth, &stats[i], c->failpoints(),
-            /*stream_id=*/i);
-    for (const auto& [k, v] : in[i]) agg.Feed(k, v);
+/// The one per-partition keyed build (ReduceByKey's three builds,
+/// GroupByKey, CoGroup, AggregateByKey's map side): a BoundedAggregator per
+/// partition on the pool under the partition's static budget share
+/// (SIZE_MAX, never spilling, when unbounded); `feed(i, agg)` streams
+/// partition i's (K, P) elements into it in order. Keys come out in
+/// first-occurrence order with `absorb` applied in exact stream order, for
+/// any budget (external/external_group.h). Spill stats are summed in
+/// partition order and reported under `label`. On a build failure the
+/// cluster fails with the first failing Status by ascending partition index
+/// (deterministic for any pool size) and the partitions come back empty.
+template <typename K, typename P, typename Init, typename Absorb,
+          typename Growth, typename FeedPart>
+auto KeyedBuild(Cluster* c, std::size_t parts, const Init& init,
+                const Absorb& absorb, const Growth& growth,
+                const FeedPart& feed, const char* label) {
+  using Acc = std::decay_t<std::invoke_result_t<const Init&, P&&>>;
+  std::vector<std::vector<std::pair<K, Acc>>> out(parts);
+  std::vector<external::SpillStats> stats(parts);
+  std::vector<Status> status(parts);
+  const std::size_t quota = c->real_budget().unbounded()
+                                ? static_cast<std::size_t>(-1)
+                                : c->real_budget().ShareFor(parts);
+  GuardedParallelFor(c, parts, [&](std::size_t i) {
+    external::BoundedAggregator<K, P, Acc, Init, Absorb, Growth> agg(
+        quota, init, absorb, growth, &stats[i], c->failpoints(),
+        /*stream_id=*/i);
+    feed(i, agg);
     out[i] = agg.Finish();
     status[i] = agg.status();
   });
   external::SpillStats total;
   for (const auto& s : stats) total.Add(s);
   c->NoteRealSpill(total, label);
-  // First unrecoverable build failure by ascending partition index —
-  // deterministic for any pool size. (Write failures with the in-memory
-  // fallback never reach here; the aggregator drained and finished.)
-  for (const Status& st : status) {
-    if (!st.ok()) {
-      c->Fail(st);
-      break;
-    }
-  }
-  return out;
-}
-
-/// Redistributes elements into `num_parts` partitions by `part_of(elem)`.
-/// Charges the map-side scan and the network shuffle, not the reduce side.
-/// The data movement runs on the deterministic parallel shuffle kernel
-/// (parallel_shuffle.h): bit-identical partition contents and ordering for
-/// any pool size, exact-reserved output vectors via the counting pre-pass.
-template <typename T, typename PartOf>
-typename Bag<T>::Partitions ShuffleBy(const Bag<T>& bag, int64_t num_parts,
-                                      PartOf part_of, double map_weight,
-                                      const char* label = "shuffle") {
-  Cluster* c = bag.cluster();
-  if (!c->ok()) {
-    return typename Bag<T>::Partitions(static_cast<std::size_t>(num_parts));
-  }
-  // Wide operators are forcing points: a pending fused chain materializes
-  // (charge-free) before the shuffle's own scan + network charges.
-  bag.Force();
-  ChargeScanStage(bag, map_weight, label);
-  c->AccrueShuffle(RealBagBytes(bag), label);
-  return BudgetedScatter(c, bag.partitions(),
-                         static_cast<std::size_t>(num_parts), part_of, label);
+  const auto failed = std::find_if(status.begin(), status.end(),
+                                   [](const Status& st) { return !st.ok(); });
+  if (failed == status.end()) return out;
+  c->Fail(*failed);
+  return decltype(out)(parts);
 }
 
 template <typename K>
@@ -178,19 +148,118 @@ std::size_t PartitionOfKey(const K& key, int64_t num_parts) {
                                   static_cast<uint64_t>(num_parts));
 }
 
+/// Redistributes elements into `num_parts` hash partitions by
+/// PartitionOfKey(key_of(elem)). Charges the map-side scan and the network
+/// shuffle, not the reduce side. The data movement runs on the
+/// deterministic parallel shuffle kernel (parallel_shuffle.h): bit-identical
+/// partition contents and ordering for any pool size, exact-reserved output
+/// vectors via the counting pre-pass.
+template <typename T, typename KeyOf>
+typename Bag<T>::Partitions ShuffleBy(const Bag<T>& bag, int64_t num_parts,
+                                      const KeyOf& key_of, const char* label) {
+  Cluster* c = bag.cluster();
+  if (!c->ok()) {
+    return typename Bag<T>::Partitions(static_cast<std::size_t>(num_parts));
+  }
+  // Wide operators are forcing points: a pending fused chain materializes
+  // (charge-free) before the shuffle's own scan + network charges.
+  bag.Force();
+  ChargeScanStage(bag, 0.25, label);
+  c->AccrueShuffle(RealBagBytes(bag), label);
+  return BudgetedScatter(
+      c, bag.partitions(), static_cast<std::size_t>(num_parts),
+      [&](const T& x) { return PartitionOfKey(key_of(x), num_parts); }, label);
+}
+
+/// ShuffleBy's key projection for keyed (pair) elements; std::identity
+/// shuffles by the whole element.
+struct PairKey {
+  template <typename K, typename V>
+  const K& operator()(const std::pair<K, V>& kv) const {
+    return kv.first;
+  }
+};
+
+/// Sample-estimated footprint of one materialized group (GroupByKey,
+/// CoGroup): its first element's size times its length.
+template <typename V>
+double GroupBytes(const std::vector<V>& g) {
+  return g.empty() ? 0.0
+                   : EstimateSize(g.front()) * static_cast<double>(g.size());
+}
+
+/// Per partition, the first occurrence of each distinct element, in order
+/// (both Distinct passes). The table is an unbudgeted in-memory build.
+template <typename T>
+std::vector<std::vector<T>> DedupPartitions(
+    Cluster* c, const std::vector<std::vector<T>>& in) {
+  std::vector<std::vector<T>> out(in.size());
+  GuardedParallelFor(c, in.size(), [&](std::size_t i) {
+    external::KeyedTable<T, external::NoValue> seen;
+    seen.reserve(in[i].size());
+    for (const auto& x : in[i]) seen.FindOrInsert(x);
+    out[i].reserve(seen.size());
+    for (auto& [x, none] : seen.Release()) out[i].push_back(std::move(x));
+  });
+  return out;
+}
+
 /// Per-task costs of processing already-shuffled reduce-side partitions at
-/// the given scale.
+/// the given scale, inflated by the stage's `spill` factor.
 template <typename T>
 std::vector<double> PartitionCosts(
     Cluster* c, const std::vector<std::vector<T>>& parts, double weight,
-    double scale) {
+    double scale, double spill = 1.0) {
   std::vector<double> costs;
   costs.reserve(parts.size());
   for (const auto& p : parts) {
     costs.push_back(
-        c->ComputeCost(static_cast<double>(p.size()) * scale, weight));
+        c->ComputeCost(static_cast<double>(p.size()) * scale, weight) *
+        spill);
   }
   return costs;
+}
+
+/// Per-task costs of processing co-partitions: task i reads `as[i]` at
+/// `a_scale` and `bs[i]` at `b_scale` (the joins, CoGroup and the set ops).
+template <typename A, typename B>
+std::vector<double> CoPartitionCosts(
+    Cluster* c, const std::vector<std::vector<A>>& as, double a_scale,
+    const std::vector<std::vector<B>>& bs, double b_scale, double weight,
+    double spill = 1.0) {
+  std::vector<double> costs;
+  costs.reserve(as.size());
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    costs.push_back(
+        c->ComputeCost(static_cast<double>(as[i].size()) * a_scale +
+                           static_cast<double>(bs[i].size()) * b_scale,
+                       weight) *
+        spill);
+  }
+  return costs;
+}
+
+/// The reduce side of a map-side-combined op (ReduceByKey, Distinct):
+/// charges the network for `combined`, scatters it onto `parts` hash
+/// partitions by PartitionOfKey(key_of(elem)), and charges one stage
+/// processing them at `weight` and the bag's scale, inflated when the
+/// combined data overflows the planning machines' memory.
+template <typename T, typename KeyOf>
+std::vector<std::vector<T>> ShuffleCombined(const Bag<T>& combined,
+                                            int64_t parts, const KeyOf& key_of,
+                                            double weight, const char* label,
+                                            const char* stage_label) {
+  Cluster* c = combined.cluster();
+  c->AccrueShuffle(RealBagBytes(combined), label);
+  auto shuffled = BudgetedScatter(
+      c, combined.partitions(), static_cast<std::size_t>(parts),
+      [&](const T& x) { return PartitionOfKey(key_of(x), parts); }, label);
+  const double spill = c->SpillFactor(
+      RealBagBytes(combined) / static_cast<double>(c->planning_machines()));
+  c->AccrueStage(
+      PartitionCosts(c, shuffled, weight, combined.scale(), spill),
+      /*lineage_depth=*/1, StageContext{stage_label, spill});
+  return shuffled;
 }
 
 }  // namespace internal
@@ -202,10 +271,7 @@ Bag<T> Repartition(const Bag<T>& bag, int64_t num_partitions = -1) {
   Cluster* c = bag.cluster();
   if (!c->ok()) return Bag<T>(c);
   const int64_t parts = internal::ResolveParallelism(c, num_partitions);
-  auto out = internal::ShuffleBy(
-      bag, parts,
-      [&](const T& x) { return internal::PartitionOfKey(x, parts); }, 0.25,
-      "repartition");
+  auto out = internal::ShuffleBy(bag, parts, std::identity{}, "repartition");
   c->AccrueStage(internal::PartitionCosts(c, out, 0.1, bag.scale()),
                  /*lineage_depth=*/1, StageContext{"repartition[reduce]"});
   return Bag<T>(c, std::move(out), bag.scale());
@@ -222,12 +288,8 @@ Bag<std::pair<K, V>> PartitionByKey(const Bag<std::pair<K, V>>& bag,
   // Metadata-only no-op when already co-partitioned (charge-free); a
   // pending key-preserving chain stays pending.
   if (internal::AlreadyKeyPartitioned(bag, parts)) return bag;
-  auto out = internal::ShuffleBy(
-      bag, parts,
-      [&](const std::pair<K, V>& x) {
-        return internal::PartitionOfKey(x.first, parts);
-      },
-      0.25, "partitionByKey");
+  auto out =
+      internal::ShuffleBy(bag, parts, internal::PairKey{}, "partitionByKey");
   c->AccrueStage(internal::PartitionCosts(c, out, 0.1, bag.scale()),
                  /*lineage_depth=*/1, StageContext{"partitionByKey[reduce]"});
   return Bag<std::pair<K, V>>(c, std::move(out), bag.scale(), parts);
@@ -253,43 +315,44 @@ Bag<std::pair<K, V>> ReduceByKey(const Bag<std::pair<K, V>>& bag, F f,
   const int64_t parts = internal::ResolveParallelism(c, num_partitions);
   const double out_scale = internal::ResolveScale(result_scale, bag.scale());
 
+  // All three builds fold each key's values with `f` in stream order.
+  auto build = [c, &f](const typename Bag<KV>::Partitions& in,
+                       const char* label) {
+    return internal::KeyedBuild<K, V>(
+        c, in.size(), [](V&& v) { return std::move(v); },
+        [&f](V& acc, V&& v) { acc = f(acc, v); },
+        [](const V&) { return std::size_t{0}; },
+        [&in](std::size_t i, auto& agg) {
+          for (const auto& [k, v] : in[i]) agg.Feed(k, v);
+        },
+        label);
+  };
+
   if (internal::AlreadyKeyPartitioned(bag, parts)) {
     // Co-partitioned input: the whole reduction is map-side; no shuffle.
     // This path is narrow, so lineage keeps growing.
     internal::ChargeScanStage(bag, weight, "reduceByKey[narrow]");
-    typename Bag<KV>::Partitions out = internal::ReduceBuild<K, V>(
-        c, bag.partitions(), f, "reduceByKey[narrow]");
+    auto out = build(bag.partitions(), "reduceByKey[narrow]");
+    if (!c->ok()) return Bag<KV>(c);
     return internal::MaybeAutoCheckpoint(
         Bag<KV>(c, std::move(out), out_scale, parts, bag.lineage_depth() + 1));
   }
 
   // Map side: per-partition combine at the input scale.
   internal::ChargeScanStage(bag, weight, "reduceByKey[combine]");
-  typename Bag<KV>::Partitions combined = internal::ReduceBuild<K, V>(
-      c, bag.partitions(), f, "reduceByKey[combine]");
+  auto combined = build(bag.partitions(), "reduceByKey[combine]");
+  if (!c->ok()) return Bag<KV>(c);
   // The combined intermediate lives at the RESULT scale: when the key space
   // is fixed, combining saturates in the real run just as it does here.
   Bag<KV> combined_bag(c, std::move(combined), out_scale);
 
   // Shuffle the combined data, then reduce-side merge. The scatter runs on
   // the deterministic parallel kernel with exact-reserved buckets.
-  c->AccrueShuffle(RealBagBytes(combined_bag), "reduceByKey");
-  typename Bag<KV>::Partitions shuffled = internal::BudgetedScatter(
-      c, combined_bag.partitions(), static_cast<std::size_t>(parts),
-      [&](const KV& kv) {
-        return internal::PartitionOfKey(kv.first, parts);
-      },
-      "reduceByKey");
-  const double spill =
-      c->SpillFactor(RealBagBytes(combined_bag) /
-                     static_cast<double>(c->planning_machines()));
-  auto costs = internal::PartitionCosts(c, shuffled, weight, out_scale);
-  for (auto& cost : costs) cost *= spill;
-  c->AccrueStage(costs, /*lineage_depth=*/1,
-                 StageContext{"reduceByKey[merge]", spill});
-
-  typename Bag<KV>::Partitions out =
-      internal::ReduceBuild<K, V>(c, shuffled, f, "reduceByKey[merge]");
+  auto shuffled =
+      internal::ShuffleCombined(combined_bag, parts, internal::PairKey{},
+                                weight, "reduceByKey", "reduceByKey[merge]");
+  auto out = build(shuffled, "reduceByKey[merge]");
+  if (!c->ok()) return Bag<KV>(c);
   return Bag<KV>(c, std::move(out), out_scale, parts);
 }
 
@@ -313,67 +376,36 @@ Bag<std::pair<K, std::vector<V>>> GroupByKey(const Bag<std::pair<K, V>>& bag,
   Cluster* c = bag.cluster();
   if (!c->ok()) return Bag<KG>(c);
   const int64_t parts = internal::ResolveParallelism(c, num_partitions);
-  auto shuffled = internal::ShuffleBy(
-      bag, parts,
-      [&](const std::pair<K, V>& x) {
-        return internal::PartitionOfKey(x.first, parts);
-      },
-      0.25, "groupByKey");
+  auto shuffled =
+      internal::ShuffleBy(bag, parts, internal::PairKey{}, "groupByKey");
   const double spill = c->SpillFactor(
       RealBagBytes(bag) / static_cast<double>(c->planning_machines()));
-  auto costs = internal::PartitionCosts(c, shuffled, 0.5, bag.scale());
-  for (auto& cost : costs) cost *= spill;
-  c->AccrueStage(costs, /*lineage_depth=*/1,
-                 StageContext{"groupByKey[group]", spill});
+  c->AccrueStage(internal::PartitionCosts(c, shuffled, 0.5, bag.scale(), spill),
+                 /*lineage_depth=*/1, StageContext{"groupByKey[group]", spill});
 
-  // Group build, parallel across reduce partitions, emitting groups in
-  // first-occurrence key order (the canonical keyed-build order; see
-  // external/external_group.h). Under a real memory budget the build spills
-  // raw elements of non-admitted keys and re-feeds them in later passes —
-  // group contents stay in exact arrival order for any budget. Each
-  // partition tracks its own largest group; the driver reduces the
-  // per-partition maxima so the memory check stays independent of execution
-  // order.
-  typename Bag<KG>::Partitions out(static_cast<std::size_t>(parts));
-  std::vector<double> max_bytes(shuffled.size(), 0.0);
-  std::vector<external::SpillStats> spill_stats(shuffled.size());
-  std::vector<Status> build_status(shuffled.size());
-  const std::size_t quota = internal::WorkerQuota(c, shuffled.size());
-  internal::GuardedParallelFor(c, shuffled.size(), [&](std::size_t i) {
-    auto init = [](V&& v) {
-      std::vector<V> g;
-      g.push_back(std::move(v));
-      return g;
-    };
-    auto absorb = [](std::vector<V>& g, V&& v) { g.push_back(std::move(v)); };
-    auto growth = [](const V& v) { return EstimateSize(v); };
-    external::BoundedAggregator<K, V, std::vector<V>, decltype(init),
-                                decltype(absorb), decltype(growth)>
-        agg(quota, init, absorb, growth, &spill_stats[i], c->failpoints(),
-            /*stream_id=*/i);
-    for (auto& [k, v] : shuffled[i]) agg.Feed(k, std::move(v));
-    out[i] = agg.Finish();
-    build_status[i] = agg.status();
-    for (const auto& [k, vs] : out[i]) {
-      // Sample-estimate the group footprint.
-      double bytes = static_cast<double>(sizeof(KG));
-      if (!vs.empty()) {
-        bytes += EstimateSize(vs.front()) * static_cast<double>(vs.size());
-      }
-      max_bytes[i] = std::max(max_bytes[i], bytes);
-    }
-  });
-  external::SpillStats group_spill;
-  for (const auto& s : spill_stats) group_spill.Add(s);
-  c->NoteRealSpill(group_spill, "groupByKey[group]");
-  for (const Status& st : build_status) {
-    if (!st.ok()) {
-      c->Fail(st);
-      return Bag<KG>(c);
+  // Group build: each key's values in arrival order, for any budget.
+  auto out = internal::KeyedBuild<K, V>(
+      c, shuffled.size(),
+      [](V&& v) {
+        std::vector<V> g;
+        g.push_back(std::move(v));
+        return g;
+      },
+      [](std::vector<V>& g, V&& v) { g.push_back(std::move(v)); },
+      [](const V& v) { return EstimateSize(v); },
+      [&shuffled](std::size_t i, auto& agg) {
+        for (auto& [k, v] : shuffled[i]) agg.Feed(k, std::move(v));
+      },
+      "groupByKey[group]");
+  if (!c->ok()) return Bag<KG>(c);
+  double max_group_bytes = 0.0;
+  for (const auto& part : out) {
+    for (const auto& [k, vs] : part) {
+      max_group_bytes = std::max(
+          max_group_bytes,
+          static_cast<double>(sizeof(KG)) + internal::GroupBytes(vs));
     }
   }
-  double max_group_bytes = 0.0;
-  for (double b : max_bytes) max_group_bytes = std::max(max_group_bytes, b);
   c->CheckTaskMemory(max_group_bytes * bag.scale() * group_expansion,
                      "groupByKey");
   if (!c->ok()) return Bag<KG>(c);
@@ -396,38 +428,12 @@ Bag<T> Distinct(const Bag<T>& bag, int64_t num_partitions = -1,
   // Map-side pre-dedup keeps the shuffle volume at one copy per distinct
   // value per partition (Spark implements distinct via reduceByKey).
   internal::ChargeScanStage(bag, 0.5, "distinct[pre]");
-  typename Bag<T>::Partitions pre(bag.partitions().size());
-  internal::GuardedParallelFor(c, bag.partitions().size(), [&](std::size_t i) {
-    std::unordered_set<T, Hasher> seen;
-    seen.reserve(bag.partitions()[i].size());
-    for (const auto& x : bag.partitions()[i]) {
-      if (seen.insert(x).second) pre[i].push_back(x);
-    }
-  });
-  Bag<T> pre_bag(c, std::move(pre), out_scale);
+  Bag<T> pre_bag(c, internal::DedupPartitions(c, bag.partitions()),
+                 out_scale);
 
-  c->AccrueShuffle(RealBagBytes(pre_bag), "distinct");
-  typename Bag<T>::Partitions shuffled = internal::BudgetedScatter(
-      c, pre_bag.partitions(), static_cast<std::size_t>(parts),
-      [&](const T& x) { return internal::PartitionOfKey(x, parts); },
-      "distinct");
-  const double spill =
-      c->SpillFactor(RealBagBytes(pre_bag) /
-                     static_cast<double>(c->planning_machines()));
-  auto costs = internal::PartitionCosts(c, shuffled, 0.5, out_scale);
-  for (auto& cost : costs) cost *= spill;
-  c->AccrueStage(costs, /*lineage_depth=*/1,
-                 StageContext{"distinct[dedup]", spill});
-
-  typename Bag<T>::Partitions out(static_cast<std::size_t>(parts));
-  internal::GuardedParallelFor(c, shuffled.size(), [&](std::size_t i) {
-    std::unordered_set<T, Hasher> seen;
-    seen.reserve(shuffled[i].size());
-    for (const auto& x : shuffled[i]) {
-      if (seen.insert(x).second) out[i].push_back(x);
-    }
-  });
-  return Bag<T>(c, std::move(out), out_scale);
+  auto shuffled = internal::ShuffleCombined(
+      pre_bag, parts, std::identity{}, 0.5, "distinct", "distinct[dedup]");
+  return Bag<T>(c, internal::DedupPartitions(c, shuffled), out_scale);
 }
 
 }  // namespace matryoshka::engine

@@ -46,6 +46,7 @@
 #include "engine/ops.h"
 #include "engine/recovery.h"
 #include "engine/shuffle.h"
+#include "obs/trace_recorder.h"
 #include "serve/plan.h"
 #include "serve/registry.h"
 #include "serve/serving_driver.h"
@@ -232,6 +233,37 @@ TEST(ChaosEngineTest, EnospcFailsTypedWithoutFallback) {
   (void)Count(Repartition(MakePairs(&c), 5));
   EXPECT_FALSE(c.ok());
   EXPECT_TRUE(c.status().IsResourceExhausted()) << c.status().ToString();
+  EXPECT_EQ(SpillFile::LiveCount(), 0);
+}
+
+TEST(ChaosEngineTest, ReduceByKeyStopsAfterFailedCombineBuild) {
+  // A typed failure of the map-side combine build ends the op: the scatter
+  // and the merge build never run, so no spill IO of theirs (spans,
+  // real-io-fault instants, real_* counters) lands on the failed run.
+  ClusterConfig cfg = Config(true, 512);
+  cfg.real_faults.write_enospc_prob = 1.0;
+  cfg.real_io.fallback_in_memory = false;
+  Cluster c(cfg);
+  obs::TraceRecorder trace;
+  c.set_trace(&trace);
+  auto reduced = ReduceByKey(
+      MakePairs(&c), [](int64_t a, int64_t b) { return a + b; }, 8);
+  EXPECT_FALSE(c.ok());
+  EXPECT_TRUE(c.status().IsResourceExhausted()) << c.status().ToString();
+  EXPECT_TRUE(reduced.ToVector().empty());
+  bool combine_fault_seen = false;
+  for (const obs::InstantEvent& e : trace.current().instants) {
+    if (e.name != "real-io-fault") continue;
+    combine_fault_seen |= e.detail.rfind("reduceByKey[combine]:", 0) == 0;
+    EXPECT_NE(e.detail.rfind("reduceByKey:", 0), 0u) << e.detail;
+    EXPECT_NE(e.detail.rfind("reduceByKey[merge]:", 0), 0u) << e.detail;
+  }
+  EXPECT_TRUE(combine_fault_seen);
+  for (const obs::DriverSpan& s : trace.current().driver) {
+    if (s.category != obs::Category::kSpill) continue;
+    EXPECT_NE(s.label, "reduceByKey");
+    EXPECT_NE(s.label, "reduceByKey[merge]");
+  }
   EXPECT_EQ(SpillFile::LiveCount(), 0);
 }
 

@@ -35,6 +35,7 @@
 #include "engine/ops.h"
 #include "engine/recovery.h"
 #include "engine/shuffle.h"
+#include "obs/trace_recorder.h"
 
 namespace matryoshka::engine {
 namespace {
@@ -350,6 +351,47 @@ TEST(ExternalDeterminismTest, BoundedAggregatorPreservesFoldOrder) {
   EXPECT_EQ(SpillFile::LiveCount(), 0);
 }
 
+TEST(ExternalDeterminismTest, KeyedTableKeepsFirstOccurrenceSlots) {
+  // Scattered keys, far more than the index's initial bucket count, so the
+  // index rehashes many times while the slots keep first-occurrence order.
+  external::KeyedTable<int64_t, int64_t> table;
+  std::vector<int64_t> first_seen;
+  for (int64_t i = 0; i < 20000; ++i) {
+    const int64_t k = (i * 7919) % 4099;
+    const auto [slot, inserted] = table.FindOrInsert(k);
+    if (inserted) {
+      EXPECT_EQ(slot, first_seen.size());
+      first_seen.push_back(k);
+    }
+    table.value(slot) += 1;
+  }
+  ASSERT_EQ(table.size(), first_seen.size());
+  for (std::size_t i = 0; i < first_seen.size(); ++i) {
+    const auto [slot, inserted] = table.FindOrInsert(first_seen[i]);
+    EXPECT_FALSE(inserted);
+    EXPECT_EQ(slot, i);
+    EXPECT_EQ(table.Find(first_seen[i]), i);
+  }
+  EXPECT_EQ(table.Find(-1), table.kAbsent);
+  const auto slots = table.Release();
+  ASSERT_EQ(slots.size(), first_seen.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(slots[i].first, first_seen[i]);
+  }
+
+  external::KeyedTable<std::string, std::vector<int>> strings;
+  for (int i = 0; i < 300; ++i) {
+    std::string key = "k";
+    key += std::to_string((i * 13) % 37);
+    strings.value(strings.FindOrInsert(key).first).push_back(i);
+  }
+  ASSERT_EQ(strings.size(), 37u);
+  EXPECT_EQ(strings.Find("k0"), 0u);
+  EXPECT_EQ(strings.Find("k13"), 1u);
+  EXPECT_EQ(strings.Find("missing"), strings.kAbsent);
+  EXPECT_EQ(strings.value(strings.Find("k13")).front(), 1);
+}
+
 // --- Per-operator budget invariance --------------------------------------
 
 TEST(ExternalDeterminismTest, RepartitionBudgetInvariant) {
@@ -398,6 +440,36 @@ TEST(ExternalDeterminismTest, AggregateByKeyBudgetInvariant) {
         [](int64_t a, int64_t v) { return a + v; },
         [](int64_t a, int64_t b) { return a + b; }, 8);
   });
+}
+
+TEST(ExternalDeterminismTest, AggregateByKeyMapSideHonoursBudget) {
+  // The map-side fold is a budgeted keyed build: with more keys per
+  // partition than the worker quota holds, it spills under its own label
+  // and still matches the unbounded run element for element.
+  auto run = [](std::size_t budget, obs::TraceRecorder* trace) {
+    Cluster c(Config(true, budget));
+    c.set_trace(trace);
+    std::vector<std::pair<int64_t, int64_t>> kv;
+    for (int64_t i = 0; i < 4000; ++i) kv.emplace_back(i % 1000, i);
+    auto out = AggregateByKey(
+        Parallelize(&c, kv, 8), int64_t{0},
+        [](int64_t a, int64_t v) { return a * 3 + v; },
+        [](int64_t a, int64_t b) { return a - b; }, 8);
+    EXPECT_TRUE(c.ok()) << c.status().ToString();
+    return out.partitions();
+  };
+  obs::TraceRecorder unbounded_trace;
+  obs::TraceRecorder bounded_trace;
+  const auto unbounded = run(0, &unbounded_trace);
+  const auto bounded = run(4096, &bounded_trace);
+  EXPECT_EQ(bounded, unbounded);
+  bool map_side_spilled = false;
+  for (const obs::DriverSpan& s : bounded_trace.current().driver) {
+    map_side_spilled |= s.category == obs::Category::kSpill &&
+                        s.label == "aggregateByKey[seq]" && s.bytes > 0;
+  }
+  EXPECT_TRUE(map_side_spilled);
+  EXPECT_EQ(SpillFile::LiveCount(), 0);
 }
 
 TEST(ExternalDeterminismTest, DistinctBudgetInvariant) {
