@@ -64,11 +64,12 @@ auto ProcessGroupsSequentially(
                  engine::StageContext{"outer-parallel[group-udf]"});
 
   typename Out::Partitions out(groups.partitions().size());
-  ParallelFor(c->pool(), groups.partitions().size(), [&](std::size_t i) {
-    for (const auto& [k, vs] : groups.partitions()[i]) {
-      out[i].emplace_back(k, work(k, vs));
-    }
-  });
+  engine::internal::GuardedParallelFor(
+      c, groups.partitions().size(), [&](std::size_t i) {
+        for (const auto& [k, vs] : groups.partitions()[i]) {
+          out[i].emplace_back(k, work(k, vs));
+        }
+      });
   return Out(c, std::move(out));
 }
 

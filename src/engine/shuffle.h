@@ -12,7 +12,6 @@
 #include "common/logging.h"
 #include "engine/bag.h"
 #include "engine/external/external_group.h"
-#include "engine/external/external_scatter.h"
 #include "engine/ops.h"
 #include "engine/parallel_shuffle.h"
 
@@ -53,53 +52,45 @@ bool AlreadyKeyPartitioned(const Bag<T>& bag, int64_t parts) {
   return bag.key_partitions() == parts && bag.num_partitions() == parts;
 }
 
-/// The scatter funnel of every wide operator: the in-memory deterministic
-/// kernel (parallel_shuffle.h) when the real budget is unbounded or the
-/// element type is not spillable, the external spilling kernel otherwise.
-/// Both produce bit-identical output (the external determinism contract);
-/// the external path additionally reports its real spill totals — reduced
-/// in producer order — into the cluster's real_* metrics, driver-side.
+/// The scatter funnel of every wide operator: the one deterministic kernel
+/// (parallel_shuffle.h) under the producers' static share of the real
+/// budget — SIZE_MAX, never spilling, when the budget is unbounded or the
+/// element type is not spillable. Its real spill totals, reduced in
+/// producer order, go into the cluster's real_* metrics, driver-side.
 ///
-/// Graceful degradation (the real-fault contract): when the external
-/// scatter's spill IO fails — ENOSPC, EIO through the retry budget, a
-/// checksum mismatch on merge-on-read — the inputs are still untouched, so
-/// with RealIoPolicy::fallback_in_memory (the default) the op re-runs on
-/// the in-memory kernel, ignoring the scratch budget for this one op:
-/// bit-identical output, counted in inmemory_fallbacks and logged. With the
-/// fallback off, or on an injected allocation failure (falling back to
-/// MORE memory use would be self-defeating), the job fails with the typed
-/// Status instead.
+/// Graceful degradation (the real-fault contract): when the scatter's spill
+/// IO fails — ENOSPC, EIO through the retry budget, a checksum mismatch on
+/// merge-on-read — the inputs are still untouched, so with
+/// RealIoPolicy::fallback_in_memory (the default) the op re-runs the kernel
+/// unbounded, ignoring the scratch budget for this one op: bit-identical
+/// output, counted in inmemory_fallbacks and logged. With the fallback off,
+/// or on an injected allocation failure (falling back to MORE memory use
+/// would be self-defeating), the job fails with the typed Status instead.
 template <typename T, typename PartOf>
 std::vector<std::vector<T>> BudgetedScatter(
     Cluster* c, const std::vector<std::vector<T>>& inputs,
     std::size_t num_parts, const PartOf& part_of, const char* label) {
-  if constexpr (external::kSpillable<T>) {
-    if (!c->real_budget().unbounded()) {
-      external::SpillStats stats;
-      std::vector<std::vector<T>> out;
-      const Status st = external::ExternalScatter(
-          c->pool(), inputs, num_parts, part_of, c->real_budget(),
-          c->failpoints(), &stats, &out);
-      if (st.ok()) {
-        c->NoteRealSpill(stats, label);
-        return out;
-      }
-      const bool disk_failure =
-          st.IsResourceExhausted() || st.IsIOError() || st.IsDataCorruption();
-      if (disk_failure && c->failpoints()->policy().fallback_in_memory) {
-        stats.inmemory_fallbacks += 1;
-        c->NoteRealSpill(stats, label);
-        MATRYOSHKA_LOG(kWarning)
-            << label << ": spill IO failed (" << st.ToString()
-            << "); re-running the scatter in memory";
-        return ParallelScatter(c->pool(), inputs, num_parts, part_of);
-      }
-      c->NoteRealSpill(stats, label);
-      c->Fail(st);
-      return std::vector<std::vector<T>>(num_parts);
-    }
+  const std::size_t quota = external::kSpillable<T>
+                                ? c->real_budget().ShareFor(inputs.size())
+                                : SIZE_MAX;
+  external::SpillStats stats;
+  std::vector<std::vector<T>> out;
+  Status st = ParallelScatter(c->pool(), inputs, num_parts, part_of, quota,
+                              c->failpoints(), &stats, &out);
+  const bool disk_failure =
+      st.IsResourceExhausted() || st.IsIOError() || st.IsDataCorruption();
+  if (disk_failure && c->failpoints()->policy().fallback_in_memory) {
+    stats.inmemory_fallbacks += 1;
+    MATRYOSHKA_LOG(kWarning)
+        << label << ": spill IO failed (" << st.ToString()
+        << "); re-running the scatter in memory";
+    st = ParallelScatter(c->pool(), inputs, num_parts, part_of, SIZE_MAX,
+                         c->failpoints(), &stats, &out);
   }
-  return ParallelScatter(c->pool(), inputs, num_parts, part_of);
+  c->NoteRealSpill(stats, label);
+  if (st.ok()) return out;
+  c->Fail(st);
+  return std::vector<std::vector<T>>(num_parts);
 }
 
 /// The one per-partition keyed build (ReduceByKey's three builds,
@@ -121,9 +112,7 @@ auto KeyedBuild(Cluster* c, std::size_t parts, const Init& init,
   std::vector<std::vector<std::pair<K, Acc>>> out(parts);
   std::vector<external::SpillStats> stats(parts);
   std::vector<Status> status(parts);
-  const std::size_t quota = c->real_budget().unbounded()
-                                ? static_cast<std::size_t>(-1)
-                                : c->real_budget().ShareFor(parts);
+  const std::size_t quota = c->real_budget().ShareFor(parts);
   GuardedParallelFor(c, parts, [&](std::size_t i) {
     external::BoundedAggregator<K, P, Acc, Init, Absorb, Growth> agg(
         quota, init, absorb, growth, &stats[i], c->failpoints(),

@@ -327,14 +327,20 @@ TEST(ParallelDeterminismTest, ScatterKernelMatchesReferenceLoop) {
   for (const auto& in : inputs) {
     for (int64_t x : in) expected[part_of(x)].push_back(x);
   }
-  EXPECT_EQ(internal::ParallelScatter<int64_t>(nullptr, inputs, kParts,
-                                               part_of),
-            expected);
+  auto scatter = [&](ThreadPool* pool) {
+    external::SpillStats stats;
+    std::vector<std::vector<int64_t>> out;
+    const Status st = internal::ParallelScatter(pool, inputs, kParts, part_of,
+                                                SIZE_MAX, nullptr, &stats,
+                                                &out);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(stats.spill_events, 0);
+    return out;
+  };
+  EXPECT_EQ(scatter(nullptr), expected);
   for (std::size_t threads = 1; threads <= 4; ++threads) {
     ThreadPool pool(threads);
-    EXPECT_EQ(internal::ParallelScatter<int64_t>(&pool, inputs, kParts,
-                                                 part_of),
-              expected)
+    EXPECT_EQ(scatter(&pool), expected)
         << "with a " << threads << "-thread pool";
   }
 }
