@@ -165,7 +165,7 @@ if [ "$mode" = spill ]; then
   cmake --build --preset asan -j "$(nproc)"
   echo "== spill: budget=$budget, asan =="
   MATRYOSHKA_REAL_BUDGET="$budget" ctest --preset spill-asan -j "$(nproc)" "$@"
-  # The external scatter/merge kernel must also be clean under
+  # The scatter's spill and merge-on-read paths must also be clean under
   # ThreadSanitizer — forced and unbounded.
   cmake --preset tsan
   cmake --build --preset tsan -j "$(nproc)"
